@@ -230,9 +230,12 @@ void BM_BTreeInsertErase(benchmark::State& state) {
   storage::BTreeIndex index;
   int64_t i = 0;
   for (auto _ : state) {
-    index.Insert({sql::Value::Int(i % 1000), sql::Value::Int(i)}, i);
+    index.Insert(
+        storage::EncodeKey({sql::Value::Int(i % 1000), sql::Value::Int(i)}),
+        i);
     if (i % 2 == 1) {
-      index.Erase({sql::Value::Int((i - 1) % 1000), sql::Value::Int(i - 1)},
+      index.Erase(storage::EncodeKey({sql::Value::Int((i - 1) % 1000),
+                                      sql::Value::Int(i - 1)}),
                   i - 1);
     }
     ++i;

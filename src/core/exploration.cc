@@ -4,10 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <thread>
 
 #include "obs/metrics.h"
+#include "optimizer/what_if_cache.h"
 
 namespace aim::core {
 
@@ -312,13 +311,9 @@ Status ExplorationGate::LoadFrom(std::istream& in) {
 
 Status ExplorationGate::SaveSnapshot() const {
   if (options_.state_path.empty()) return Status::OK();
-  // Temp-file + rename in the target directory, tagged by thread id:
-  // same atomicity story as the what-if cache snapshots.
-  const size_t tid =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".tmp.%zx", tid);
-  const std::string tmp = options_.state_path + suffix;
+  // Temp-file + rename in the target directory: same atomicity story as
+  // the what-if cache snapshots.
+  const std::string tmp = optimizer::SnapshotTempPath(options_.state_path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Status::Internal("cannot open gate temp file " + tmp);

@@ -136,11 +136,11 @@ class NestedLoopDriver {
             }
           }
         }
-        Row prefix(options.size());
+        std::string prefix;
         std::function<void(size_t)> enumerate = [&](size_t pos) {
           if (pos == options.size()) {
             const uint64_t visited = btree->ScanPrefix(
-                prefix, lower, upper, [&](const Row&, RowId rid) {
+                prefix, lower, upper, [&](RowId rid) {
                   rids.insert(rid);
                   return true;
                 });
@@ -150,9 +150,11 @@ class NestedLoopDriver {
                               ctx_->cm().params().btree_descent_cost);
             return;
           }
+          const size_t mark = prefix.size();
           for (const Value& v : options[pos]) {
-            prefix[pos] = v;
+            storage::AppendKeyPart(v, &prefix);
             enumerate(pos + 1);
+            prefix.resize(mark);
           }
         };
         enumerate(0);
@@ -219,7 +221,7 @@ class NestedLoopDriver {
       uint64_t groups = 0;
       const uint64_t visited = btree->ScanSkip(
           step.path.skip_width, lower, upper,
-          [&](const Row&, RowId rid) {
+          [&](RowId rid) {
             return consider(rid, /*via_index=*/true, step.path.covering);
           },
           &groups);
@@ -261,21 +263,24 @@ class NestedLoopDriver {
     // recursion into deeper index steps mid-enumeration, corrupting this
     // step's descent-cost multiplier.
     uint64_t ranges_probed = 0;
-    Row prefix(options.size());
+    std::string prefix;
     std::function<bool(size_t)> enumerate = [&](size_t part) -> bool {
       if (part == options.size()) {
         ++ranges_probed;
         const uint64_t visited = btree->ScanPrefix(
-            prefix, lower, upper, [&](const Row&, RowId rid) {
+            prefix, lower, upper, [&](RowId rid) {
               return consider(rid, /*via_index=*/true, covering);
             });
         ctx_->metrics.index_entries_read += visited;
         ctx_->metrics.rows_examined += visited;
         return keep_going;
       }
+      const size_t mark = prefix.size();
       for (const Value& v : options[part]) {
-        prefix[part] = v;
-        if (!enumerate(part + 1)) return false;
+        storage::AppendKeyPart(v, &prefix);
+        const bool go_on = enumerate(part + 1);
+        prefix.resize(mark);
+        if (!go_on) return false;
       }
       return true;
     };
@@ -476,11 +481,11 @@ Result<ExecuteResult> Executor::ExecuteDml(
         RangeBoundsFor(query, 0, index.columns[options.size()], &lower,
                        &upper);
       }
-      Row prefix(options.size());
+      std::string prefix;
       std::function<void(size_t)> enumerate = [&](size_t part) {
         if (part == options.size()) {
           const uint64_t visited = btree->ScanPrefix(
-              prefix, lower, upper, [&](const Row&, RowId rid) {
+              prefix, lower, upper, [&](RowId rid) {
                 const Row& row = heap.row(rid);
                 ctx.Bind(0, &row);
                 bool pass = true;
@@ -497,9 +502,11 @@ Result<ExecuteResult> Executor::ExecuteDml(
           ctx.metrics.pk_lookups += visited;
           return;
         }
+        const size_t mark = prefix.size();
         for (const Value& v : options[part]) {
-          prefix[part] = v;
+          storage::AppendKeyPart(v, &prefix);
           enumerate(part + 1);
+          prefix.resize(mark);
         }
       };
       enumerate(0);

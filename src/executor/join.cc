@@ -195,16 +195,15 @@ void BatchEngine::ProduceBulk(size_t s, const LaneBuffer& cur,
   // duplicate prefixes share one descent, then replay per lane in order.
   const size_t lanes = cur.size();
   const size_t ppl = a.probes_per_lane;
-  std::vector<Row> probes;
+  std::vector<std::string> probes;
   probes.reserve(lanes * ppl);
   for (size_t li = 0; li < lanes; ++li) {
     BuildLaneProbes(a, cur.lane(li), &probes);
   }
   std::vector<size_t> order(probes.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    return storage::RowLess()(probes[x], probes[y]);
-  });
+  std::sort(order.begin(), order.end(),
+            [&](size_t x, size_t y) { return probes[x] < probes[y]; });
   std::vector<IndexHit> hits;
   std::vector<ProbeSpan> spans;
   a.btree->GatherPrefixBatch(probes, order, a.lower, a.upper, &hits,
@@ -338,10 +337,10 @@ bool BatchEngine::StrictStep(size_t s, const Row** bound) {
       } else {
         // Locals, not members: StrictStep recurses and a nested index
         // step must not clobber this step's probe iteration state.
-        std::vector<Row> probes;
+        std::vector<std::string> probes;
         BuildLaneProbes(a, bound, &probes);
         std::vector<IndexHit> hits;
-        for (const Row& probe : probes) {
+        for (const std::string& probe : probes) {
           ++probes_done;
           hits.clear();
           const uint64_t full_visited =

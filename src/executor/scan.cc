@@ -14,22 +14,24 @@ using storage::RowId;
 namespace {
 
 /// Enumerates the cartesian product of literal key-part options into
-/// probe prefixes, first part slowest — the interpreter's recursive
-/// `enumerate` order. Zero parts yield one empty probe.
+/// encoded probe prefixes, first part slowest — the interpreter's
+/// recursive `enumerate` order. Zero parts yield one empty probe.
 void EnumerateLiteralProbes(const std::vector<std::vector<Value>>& options,
-                            std::vector<Row>* out) {
+                            std::vector<std::string>* out) {
   size_t total = 1;
   for (const auto& o : options) total *= o.size();
   out->reserve(out->size() + total);
-  Row prefix(options.size());
+  std::string prefix;
   std::function<void(size_t)> enumerate = [&](size_t pos) {
     if (pos == options.size()) {
       out->push_back(prefix);
       return;
     }
+    const size_t mark = prefix.size();
     for (const Value& v : options[pos]) {
-      prefix[pos] = v;
+      storage::AppendKeyPart(v, &prefix);
       enumerate(pos + 1);
+      prefix.resize(mark);
     }
   };
   enumerate(0);
@@ -221,10 +223,10 @@ void GatherInvariant(const StepAccess& a, Production* out) {
       std::vector<std::vector<Value>> options;
       options.reserve(a.parts.size());
       for (const auto& p : a.parts) options.push_back(p.literals);
-      std::vector<Row> probes;
+      std::vector<std::string> probes;
       EnumerateLiteralProbes(options, &probes);
       out->spans.reserve(probes.size());
-      for (const Row& probe : probes) {
+      for (const std::string& probe : probes) {
         storage::ProbeSpan span;
         span.begin = out->hits.size();
         span.visited =
@@ -246,7 +248,7 @@ void GatherInvariant(const StepAccess& a, Production* out) {
       for (const MergeArm& arm : a.arms) {
         std::vector<uint64_t> visited;
         visited.reserve(arm.probes.size());
-        for (const Row& probe : arm.probes) {
+        for (const std::string& probe : arm.probes) {
           scratch.clear();
           const uint64_t v =
               arm.btree->GatherPrefix(probe, arm.lower, arm.upper, &scratch);
@@ -269,24 +271,28 @@ void GatherInvariant(const StepAccess& a, Production* out) {
 }
 
 void BuildLaneProbes(const StepAccess& a, const Row* const* bound,
-                     std::vector<Row>* out) {
+                     std::vector<std::string>* out) {
   // Odometer over key parts, first part slowest (interpreter enumeration
   // order); join-bound parts contribute the single partner value.
-  Row probe(a.parts.size());
+  std::string probe;
   std::function<void(size_t)> enumerate = [&](size_t pos) {
     if (pos == a.parts.size()) {
       out->push_back(probe);
       return;
     }
     const KeyPart& kp = a.parts[pos];
+    const size_t mark = probe.size();
     if (kp.join_bound) {
-      probe[pos] = (*bound[kp.src_instance])[kp.src_column];
+      storage::AppendKeyPart((*bound[kp.src_instance])[kp.src_column],
+                             &probe);
       enumerate(pos + 1);
+      probe.resize(mark);
       return;
     }
     for (const Value& v : kp.literals) {
-      probe[pos] = v;
+      storage::AppendKeyPart(v, &probe);
       enumerate(pos + 1);
+      probe.resize(mark);
     }
   };
   enumerate(0);

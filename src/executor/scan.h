@@ -14,11 +14,12 @@
 //
 // Every gather preserves the exact visit order and visited counts of the
 // interpreter's ScanPrefix/ScanSkip/Scan walks, including tie order of
-// duplicate keys (std::multimap preserves insertion order) — the batch
+// duplicate keys (the B+Tree keeps them in insertion order) — the batch
 // suite pins results and metrics bit-identical, so order here is a
 // correctness property, not a nicety.
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "executor/exec_common.h"
@@ -42,7 +43,7 @@ struct KeyPart {
 struct MergeArm {
   const catalog::IndexDef* index = nullptr;
   const storage::BTreeIndex* btree = nullptr;
-  std::vector<storage::Row> probes;  // enumeration order
+  std::vector<std::string> probes;  // encoded, enumeration order
   std::optional<storage::KeyBound> lower;
   std::optional<storage::KeyBound> upper;
 };
@@ -105,11 +106,11 @@ struct Production {
 /// join-bound index steps (their probes vary per lane).
 void GatherInvariant(const StepAccess& access, Production* out);
 
-/// Appends the probe rows of one lane of a join-bound index step, in the
-/// interpreter's enumeration order (first key part slowest).
+/// Appends the encoded probe prefixes of one lane of a join-bound index
+/// step, in the interpreter's enumeration order (first key part slowest).
 void BuildLaneProbes(const StepAccess& access,
                      const storage::Row* const* bound,
-                     std::vector<storage::Row>* out);
+                     std::vector<std::string>* out);
 
 }  // namespace aim::executor
 

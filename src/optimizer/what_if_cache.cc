@@ -1,5 +1,7 @@
 #include "optimizer/what_if_cache.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -215,16 +217,18 @@ std::string SnapshotPathForFingerprint(const std::string& base_path,
   return base_path + suffix;
 }
 
-Status SaveSnapshotAtomic(const WhatIfCache& cache, const std::string& path,
-                          uint64_t catalog_fingerprint) {
-  // The temporary must live in the target's directory for rename(2) to be
-  // atomic, and must be private to this writer so concurrent savers never
-  // interleave bytes: tag it with the thread id.
+std::string SnapshotTempPath(const std::string& path) {
   const size_t tid =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".tmp.%zx", tid);
-  const std::string tmp = path + suffix;
+  char suffix[48];
+  std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%zx",
+                static_cast<long>(getpid()), tid);
+  return path + suffix;
+}
+
+Status SaveSnapshotAtomic(const WhatIfCache& cache, const std::string& path,
+                          uint64_t catalog_fingerprint) {
+  const std::string tmp = SnapshotTempPath(path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {

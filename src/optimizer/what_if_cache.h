@@ -30,8 +30,10 @@ struct WhatIfCacheStats {
 /// \brief Memoizes `(statement fingerprint, configuration fingerprint) →
 /// plan cost` across all WhatIfOptimizer clones of one advisor run.
 ///
-/// ~90% of index-advisor runtime is optimizer calls (Papadomanolakis et
-/// al.), and a tuning pass re-costs the same statement under the same
+/// Papadomanolakis et al. report ~90% of a classic index advisor's time
+/// in optimizer calls. Here what-if ranking is a smaller share (0.128 s
+/// of a ≈1.15 s TPC-H tuning interval, where clone validation dominates),
+/// but a tuning pass still re-costs the same statement under the same
 /// configuration again and again — two-phase candidate generation repeats
 /// every dataless probe, and production workloads repeat statements. Each
 /// unique (statement, configuration) pair is planned at most once per
@@ -148,6 +150,12 @@ class WhatIfCache {
 /// and same-schema writers overwrite with equally-valid snapshots.
 std::string SnapshotPathForFingerprint(const std::string& base_path,
                                        uint64_t catalog_fingerprint);
+
+/// The private temporary a snapshot writer renames over `path`: in the
+/// same directory (rename(2) is only atomic there), tagged with the
+/// process id and the thread id so no two concurrent writers, in one
+/// process or several, ever share it.
+std::string SnapshotTempPath(const std::string& path);
 
 /// Atomically persists `cache` to `path`: SaveTo writes a private
 /// temporary file in the same directory, which is then rename(2)d over

@@ -2,8 +2,9 @@
 #define AIM_STORAGE_BTREE_INDEX_H_
 
 #include <functional>
-#include <map>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/row.h"
@@ -36,33 +37,42 @@ struct ProbeSpan {
   uint64_t visited = 0;
 };
 
-/// \brief An ordered secondary index (B+Tree semantics) mapping composite
-/// keys to row ids.
+/// \brief An ordered secondary index mapping composite keys to row ids: a
+/// two-level B+Tree of flat sorted leaves.
 ///
-/// Implemented over std::multimap; what matters for the reproduction is the
-/// *access pattern* (prefix/range scans and per-entry costs), which the
-/// executor meters, not the node layout.
+/// Keys are the order-preserving byte encodings of storage/row.h
+/// (EncodeKey / AppendKeyPart), compared with memcmp. Each leaf holds up
+/// to kLeafCapacity entries as one array of (offset, size, rid) slots over
+/// one byte arena; the root is the array of leaves, searched by each
+/// leaf's last key, which serves as its separator. Equal keys keep
+/// insertion order: Insert places a key after every equal key already
+/// present, and BTreeBuilder sorts by (key, insertion sequence). Copies
+/// are array copies and destruction frees leaves, not one node per entry.
 class BTreeIndex {
  public:
-  void Insert(Row key, RowId rid);
-  /// Removes one (key, rid) entry if present; returns true on removal.
-  bool Erase(const Row& key, RowId rid);
+  using Visitor = std::function<bool(RowId rid)>;
 
-  uint64_t entry_count() const { return map_.size(); }
+  /// Inserts after every entry whose key equals `key`.
+  void Insert(std::string_view key, RowId rid);
+  /// Removes the first (key, rid) entry in key order if present; returns
+  /// true on removal.
+  bool Erase(std::string_view key, RowId rid);
 
-  /// \brief Scans entries whose key starts with `eq_prefix`, optionally
-  /// range-bounded on the next key component.
+  uint64_t entry_count() const { return size_; }
+
+  /// \brief Scans entries whose key starts with `eq_prefix` (an encoded
+  /// key prefix of whole parts), optionally range-bounded on the next key
+  /// component.
   ///
   /// Visits in key order; the visitor returns false to stop (LIMIT
   /// pushdown). Returns the number of entries visited.
-  uint64_t ScanPrefix(
-      const Row& eq_prefix, const std::optional<KeyBound>& lower,
-      const std::optional<KeyBound>& upper,
-      const std::function<bool(const Row& key, RowId rid)>& visitor) const;
+  uint64_t ScanPrefix(std::string_view eq_prefix,
+                      const std::optional<KeyBound>& lower,
+                      const std::optional<KeyBound>& upper,
+                      const Visitor& visitor) const;
 
   /// Full in-order scan (index-ordered read for ORDER BY / GROUP BY).
-  uint64_t ScanAll(
-      const std::function<bool(const Row& key, RowId rid)>& visitor) const;
+  uint64_t ScanAll(const Visitor& visitor) const;
 
   /// \brief Skip scan (MySQL 8 "skip scan range access"): for every
   /// distinct value of the first `skip_width` key parts, range-scans the
@@ -70,37 +80,35 @@ class BTreeIndex {
   ///
   /// Returns entries visited; `groups_probed` (optional) receives the
   /// number of distinct prefixes descended into — the cost driver.
-  uint64_t ScanSkip(
-      size_t skip_width, const std::optional<KeyBound>& lower,
-      const std::optional<KeyBound>& upper,
-      const std::function<bool(const Row& key, RowId rid)>& visitor,
-      uint64_t* groups_probed = nullptr) const;
+  uint64_t ScanSkip(size_t skip_width, const std::optional<KeyBound>& lower,
+                    const std::optional<KeyBound>& upper,
+                    const Visitor& visitor,
+                    uint64_t* groups_probed = nullptr) const;
 
   /// \name Batch-gather API (vectorized executor).
   ///
   /// The gather calls visit exactly the entries the callback scans above
-  /// would, in the same order (std::multimap preserves insertion order for
-  /// equal keys, so tie order matches entry-by-entry), but append hits to
-  /// plain vectors instead of invoking a std::function per entry. Metric
-  /// accounting is the caller's job, via the per-hit cumulative counts.
+  /// would, in the same order, but append hits to plain vectors instead of
+  /// invoking a std::function per entry. Metric accounting is the caller's
+  /// job, via the per-hit cumulative counts.
   /// @{
 
   /// Gathers every entry ScanPrefix(eq_prefix, lower, upper, ...) would
   /// visit. Appends to `out`; returns the probe's total visited count.
-  uint64_t GatherPrefix(const Row& eq_prefix,
+  uint64_t GatherPrefix(std::string_view eq_prefix,
                         const std::optional<KeyBound>& lower,
                         const std::optional<KeyBound>& upper,
                         std::vector<IndexHit>* out) const;
 
   /// \brief Batched probe: one tree descent per *distinct* prefix.
   ///
-  /// `order` indexes into `probes` and must be sorted so equal prefixes
-  /// are adjacent (the caller sorts once per input batch); consecutive
-  /// duplicates reuse the previous descent's hit span instead of
-  /// re-walking the tree. `spans` is written per *original* probe
-  /// position (spans[i] describes probes[i]), so callers can account
+  /// `order` indexes into `probes` (encoded prefixes) and must be sorted
+  /// so equal prefixes are adjacent (the caller sorts once per input
+  /// batch); consecutive duplicates reuse the previous descent's hit span
+  /// instead of re-walking the tree. `spans` is written per *original*
+  /// probe position (spans[i] describes probes[i]), so callers can account
   /// probes in their canonical enumeration order.
-  void GatherPrefixBatch(const std::vector<Row>& probes,
+  void GatherPrefixBatch(const std::vector<std::string>& probes,
                          const std::vector<size_t>& order,
                          const std::optional<KeyBound>& lower,
                          const std::optional<KeyBound>& upper,
@@ -120,7 +128,69 @@ class BTreeIndex {
   /// @}
 
  private:
-  std::multimap<Row, RowId, RowLess> map_;
+  friend class BTreeBuilder;
+
+  static constexpr size_t kLeafCapacity = 256;
+
+  struct Slot {
+    size_t offset = 0;  // into Leaf::keys
+    size_t size = 0;
+    RowId rid = 0;
+  };
+  struct Leaf {
+    std::vector<Slot> slots;  // key order
+    std::string keys;         // arena; erased entries leave dead bytes
+    size_t dead_bytes = 0;
+
+    std::string_view key(const Slot& s) const {
+      return std::string_view(keys).substr(s.offset, s.size);
+    }
+    std::string_view key(size_t i) const { return key(slots[i]); }
+    std::string_view last_key() const { return key(slots.back()); }
+    void Append(std::string_view key, RowId rid);
+  };
+  /// A cursor position; leaf == leaves_.size() is the end.
+  struct Pos {
+    size_t leaf = 0;
+    size_t slot = 0;
+  };
+  struct Range;  // encoded bounds of one scan call
+
+  /// First entry whose key is >= `a` + `b` (concatenated).
+  Pos LowerBound(std::string_view a, std::string_view b = {}) const;
+  void Advance(Pos* pos) const;
+  /// Walks entries from `pos` while they start with `prefix`, applying the
+  /// range to the key part after it; `visited` accumulates. Returns false
+  /// when `on_hit(rid, visited)` stopped the walk.
+  template <typename OnHit>
+  bool Walk(Pos pos, std::string_view prefix, const Range& range,
+            uint64_t* visited, OnHit&& on_hit) const;
+  /// The skip-scan group loop: `on_hit(rid, visited, groups)`.
+  template <typename OnHit>
+  uint64_t WalkSkip(size_t skip_width, const Range& range,
+                    uint64_t* groups, OnHit&& on_hit) const;
+  /// Moves slots [keep, end) of leaf `index` into a new leaf after it.
+  void SplitLeaf(size_t index, size_t keep);
+  /// Drops the arena's dead bytes.
+  void CompactLeaf(Leaf* leaf);
+
+  std::vector<Leaf> leaves_;  // never empty leaves
+  uint64_t size_ = 0;
+};
+
+/// \brief Bulk loader: collects (key, rid) entries in insertion order,
+/// then sorts them by (key, insertion sequence) and packs full leaves
+/// bottom-up. The build path of CreateIndex(es) and of the online
+/// builder's snapshot scan; the result equals inserting the same entries
+/// one by one, in order.
+class BTreeBuilder {
+ public:
+  void Add(std::string_view key, RowId rid);
+  BTreeIndex Finish() &&;
+
+ private:
+  std::string keys_;
+  std::vector<BTreeIndex::Slot> pending_;  // into keys_, insertion order
 };
 
 }  // namespace aim::storage

@@ -74,27 +74,19 @@ Status Database::LoadRows(catalog::TableId table, std::vector<Row> rows) {
 Result<catalog::IndexId> Database::CreateIndex(catalog::IndexDef def) {
   AIM_FAULT_POINT("storage.create_index");
   const bool hypothetical = def.hypothetical;
-  const catalog::TableId table = def.table;
   AIM_ASSIGN_OR_RETURN(catalog::IndexId id,
                        catalog_.AddIndex(std::move(def)));
   if (!hypothetical) {
-    BTreeIndex& btree = btrees_[id];
-    const catalog::IndexDef& stored = *catalog_.index(id);
     // Materialization can fail mid-scan (the injected "crash during index
-    // build"); CreateIndex stays atomic by erasing the partial B+Tree and
-    // the catalog entry before surfacing the error.
-    Status build_status;
-    heaps_[table].Scan([&](RowId rid, const Row& row) {
-      build_status = AIM_FAULT_POINT_STATUS("storage.build_index_entry");
-      if (!build_status.ok()) return false;
-      btree.Insert(MakeIndexKey(stored, row), rid);
-      return true;
-    });
+    // build"); CreateIndex stays atomic by dropping the catalog entry
+    // before surfacing the error.
+    BTreeIndex built;
+    const Status build_status = BuildIndex(*catalog_.index(id), &built);
     if (!build_status.ok()) {
-      btrees_.erase(id);
       (void)catalog_.DropIndex(id);
       return build_status;
     }
+    btrees_[id] = std::move(built);
   }
   return id;
 }
@@ -125,16 +117,8 @@ std::vector<Result<catalog::IndexId>> Database::CreateIndexes(
   std::vector<Status> build_status(n);
   common::ParallelFor(pool, n, [&](size_t i) {
     if (!needs_build[i]) return;
-    const catalog::IndexId id = results[i].ValueOrDie();
-    const catalog::IndexDef& stored = *catalog_.index(id);
-    Status st;
-    heaps_[stored.table].Scan([&](RowId rid, const Row& row) {
-      st = AIM_FAULT_POINT_STATUS("storage.build_index_entry");
-      if (!st.ok()) return false;
-      built[i].Insert(MakeIndexKey(stored, row), rid);
-      return true;
-    });
-    build_status[i] = st;
+    build_status[i] =
+        BuildIndex(*catalog_.index(results[i].ValueOrDie()), &built[i]);
   });
   // Phase 3 — serial adoption, input order. A failed build unregisters its
   // catalog entry (same atomicity as single CreateIndex) and surfaces the
@@ -174,12 +158,28 @@ const BTreeIndex* Database::btree(catalog::IndexId id) const {
   return it == btrees_.end() ? nullptr : &it->second;
 }
 
-Row Database::MakeIndexKey(const catalog::IndexDef& def,
-                           const Row& row) const {
-  Row key;
-  key.reserve(def.columns.size());
-  for (catalog::ColumnId c : def.columns) key.push_back(row[c]);
+std::string Database::MakeIndexKey(const catalog::IndexDef& def,
+                                   const Row& row) const {
+  std::string key;
+  for (catalog::ColumnId c : def.columns) AppendKeyPart(row[c], &key);
   return key;
+}
+
+Status Database::BuildIndex(const catalog::IndexDef& def,
+                            BTreeIndex* out) const {
+  BTreeBuilder builder;
+  std::string key;
+  Status st;
+  heaps_[def.table].Scan([&](RowId rid, const Row& row) {
+    st = AIM_FAULT_POINT_STATUS("storage.build_index_entry");
+    if (!st.ok()) return false;
+    key.clear();
+    for (catalog::ColumnId c : def.columns) AppendKeyPart(row[c], &key);
+    builder.Add(key, rid);
+    return true;
+  });
+  if (st.ok()) *out = std::move(builder).Finish();
+  return st;
 }
 
 Result<RowId> Database::InsertRow(catalog::TableId table, Row row,
@@ -219,8 +219,8 @@ Status Database::UpdateRow(catalog::TableId table, RowId rid, Row row,
   const Row old_row = heap.row(rid);
   for (const catalog::IndexDef* idx :
        catalog_.TableIndexes(table, /*include_hypothetical=*/false)) {
-    const Row old_key = MakeIndexKey(*idx, old_row);
-    const Row new_key = MakeIndexKey(*idx, row);
+    const std::string old_key = MakeIndexKey(*idx, old_row);
+    const std::string new_key = MakeIndexKey(*idx, row);
     if (old_key == new_key) continue;  // untouched index: no maintenance
     BTreeIndex& btree = btrees_[idx->id];
     btree.Erase(old_key, rid);

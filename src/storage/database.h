@@ -108,9 +108,10 @@ class Database {
   void AnalyzeTable(catalog::TableId table, int histogram_buckets = 32);
   void AnalyzeAll(int histogram_buckets = 32);
 
-  /// Extracts the index key for `row` under `def` (the key parts, in
-  /// order).
-  Row MakeIndexKey(const catalog::IndexDef& def, const Row& row) const;
+  /// The encoded index key of `row` under `def` (its key parts, in order;
+  /// see AppendKeyPart).
+  std::string MakeIndexKey(const catalog::IndexDef& def,
+                           const Row& row) const;
 
   /// \name Concurrent-traffic protocol
   /// Single-threaded embedders never touch these. Under concurrent OLTP
@@ -135,6 +136,9 @@ class Database {
 
  private:
   void CopyFrom(const Database& other);
+  /// Materializes `def` from its heap by one bulk build; fails (leaving
+  /// `out` untouched) at an injected `storage.build_index_entry` fault.
+  Status BuildIndex(const catalog::IndexDef& def, BTreeIndex* out) const;
 
   void NotifyDml(DmlOp op, catalog::TableId table, RowId rid) {
     if (dml_hooks_.empty()) return;

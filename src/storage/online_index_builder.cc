@@ -42,7 +42,7 @@ struct DeltaLog {
 /// Builder-private view of the side tree: RowId -> key currently stored,
 /// which is what makes delta application idempotent (the entry can be
 /// erased without knowing the historical key the DML replaced).
-using SideKeys = std::unordered_map<RowId, Row>;
+using SideKeys = std::unordered_map<RowId, std::string>;
 
 void SortUnique(std::vector<RowId>* batch) {
   std::sort(batch->begin(), batch->end());
@@ -83,7 +83,7 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
     const HeapTable& heap = db_->heap(def.table);
     auto it = keys.find(rid);
     if (heap.IsLive(rid)) {
-      Row key = db_->MakeIndexKey(def, heap.row(rid));
+      std::string key = db_->MakeIndexKey(def, heap.row(rid));
       if (it != keys.end()) {
         if (it->second == key) return;  // already current
         side.Erase(it->second, rid);
@@ -91,7 +91,7 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
       } else {
         keys.emplace(rid, key);
       }
-      side.Insert(std::move(key), rid);
+      side.Insert(key, rid);
     } else if (it != keys.end()) {
       side.Erase(it->second, rid);
       keys.erase(it);
@@ -143,8 +143,10 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
     snapshot_slots = db_->heap(def.table).slot_count();
   }
 
-  // Phase 2 — chunked snapshot scan under a shared latch.
+  // Phase 2 — chunked snapshot scan under a shared latch, bulk-built:
+  // entries accumulate in rid order and are sorted and packed once.
   {
+    BTreeBuilder snapshot;
     obs::Span snap_span(obs::Tracer::Get(), "online.snapshot");
     const uint64_t chunk = std::max<uint64_t>(1, options_.snapshot_chunk_rows);
     for (uint64_t begin = 0; begin < snapshot_slots; begin += chunk) {
@@ -157,9 +159,9 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
           const uint64_t end = std::min(begin + chunk, snapshot_slots);
           for (RowId rid = begin; rid < end; ++rid) {
             if (!heap.IsLive(rid)) continue;
-            Row key = db_->MakeIndexKey(def, heap.row(rid));
-            keys.emplace(rid, key);
-            side.Insert(std::move(key), rid);
+            std::string key = db_->MakeIndexKey(def, heap.row(rid));
+            snapshot.Add(key, rid);
+            keys.emplace(rid, std::move(key));
             ++report.snapshot_rows;
           }
         }
@@ -169,6 +171,7 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
       if (!st.ok()) return abort(st);
       if (options_.after_snapshot_chunk) options_.after_snapshot_chunk(begin);
     }
+    side = std::move(snapshot).Finish();
     snap_span.SetAttr("rows", report.snapshot_rows);
     snap_span.SetAttr("slots", snapshot_slots);
   }

@@ -245,20 +245,22 @@ Status TpccDatabase::Delivery(Rng* rng) {
     // Oldest open order = first entry under the (w, d) prefix of the
     // new_orders clustered key (no_o_id ascending).
     RowId no_rid = 0;
-    int64_t o_id = -1;
-    no_pk->ScanPrefix(Ints({w, d}), std::nullopt, std::nullopt,
-                      [&](const Row& key, RowId rid) {
-                        o_id = key[2].AsInt();
+    bool open = false;
+    no_pk->ScanPrefix(storage::EncodeKey(Ints({w, d})), std::nullopt,
+                      std::nullopt, [&](RowId rid) {
                         no_rid = rid;
+                        open = true;
                         return false;  // first only
                       });
-    if (o_id < 0) continue;  // district has no open order
+    if (!open) continue;  // district has no open order
+    const int64_t o_id = db_.heap(new_orders_).row(no_rid)[2].AsInt();
     AIM_RETURN_NOT_OK(db_.DeleteRow(new_orders_, no_rid));
 
+    const std::string order_key = storage::EncodeKey(Ints({w, d, o_id}));
     RowId order_rid = 0;
     bool found = false;
-    o_pk->ScanPrefix(Ints({w, d, o_id}), std::nullopt, std::nullopt,
-                     [&](const Row&, RowId rid) {
+    o_pk->ScanPrefix(order_key, std::nullopt, std::nullopt,
+                     [&](RowId rid) {
                        order_rid = rid;
                        found = true;
                        return false;
@@ -272,8 +274,8 @@ Status TpccDatabase::Delivery(Rng* rng) {
     AIM_RETURN_NOT_OK(db_.UpdateRow(orders_, order_rid, std::move(orow)));
 
     std::vector<RowId> line_rids;
-    ol_pk->ScanPrefix(Ints({w, d, o_id}), std::nullopt, std::nullopt,
-                      [&](const Row&, RowId rid) {
+    ol_pk->ScanPrefix(order_key, std::nullopt, std::nullopt,
+                      [&](RowId rid) {
                         line_rids.push_back(rid);
                         return true;
                       });

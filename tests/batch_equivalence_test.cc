@@ -350,8 +350,12 @@ TEST(BatchEquivalenceTest, TpccAnalyticalWithInterleavedDml) {
   Rng rng(23);
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(tpcc.NewOrder(&rng).ok());
-    if (i % 3 == 0) ASSERT_TRUE(tpcc.Payment(&rng).ok());
-    if (i % 7 == 0) ASSERT_TRUE(tpcc.Delivery(&rng).ok());
+    if (i % 3 == 0) {
+      ASSERT_TRUE(tpcc.Payment(&rng).ok());
+    }
+    if (i % 7 == 0) {
+      ASSERT_TRUE(tpcc.Delivery(&rng).ok());
+    }
   }
   Result<workload::Workload> w = tpcc.AnalyticalWorkload();
   ASSERT_TRUE(w.ok());

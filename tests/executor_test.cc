@@ -307,9 +307,9 @@ TEST(ExecutorTest, UpdateMaintainsIndexes) {
   MustExecute(&db, "UPDATE users SET score = 777777 WHERE org_id = 3");
   // The index must now find the new values.
   uint64_t via_index = 0;
-  db.btree(idx)->ScanPrefix({Value::Int(777777)}, std::nullopt,
-                            std::nullopt,
-                            [&](const storage::Row&, storage::RowId) {
+  db.btree(idx)->ScanPrefix(storage::EncodeKey({Value::Int(777777)}),
+                            std::nullopt, std::nullopt,
+                            [&](storage::RowId) {
                               ++via_index;
                               return true;
                             });

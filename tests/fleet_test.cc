@@ -5,6 +5,7 @@
 // decisions bit-identical to isolated single-tenant ContinuousTuner runs
 // at 1, 2, and 8 threads. Pair with AIM_SANITIZE=thread for the TSan job.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -320,6 +321,17 @@ TEST(SnapshotAtomicityTest, PathsAreNamespacedByFingerprint) {
   const std::string b = optimizer::SnapshotPathForFingerprint("/x/c.bin", 2);
   EXPECT_NE(a, b);
   EXPECT_EQ(a.rfind("/x/c.bin", 0), 0u);
+}
+
+TEST(SnapshotAtomicityTest, TempPathIsPrivateToProcessAndThread) {
+  const std::string tmp = optimizer::SnapshotTempPath("/x/c.bin");
+  EXPECT_EQ(tmp.rfind("/x/c.bin.tmp.", 0), 0u);
+  EXPECT_NE(tmp.find("." + std::to_string(getpid()) + "."), std::string::npos)
+      << tmp;
+  std::string other;
+  std::thread([&] { other = optimizer::SnapshotTempPath("/x/c.bin"); })
+      .join();
+  EXPECT_NE(tmp, other);
 }
 
 TEST(SnapshotAtomicityTest, ConcurrentSaversNeverTearTheSnapshot) {

@@ -79,12 +79,27 @@ TEST_P(DmlStormTest, IndexesMirrorHeapAfterRandomOps) {
       expected.emplace(key, rid);
       return true;
     });
+    // The tree stores encoded keys only: each entry's key is read from
+    // its heap row and confirmed by probing the tree with it.
     std::multiset<std::pair<std::string, storage::RowId>> actual;
-    db.btree(id)->ScanAll([&](const storage::Row& key,
-                              storage::RowId rid) {
+    const storage::BTreeIndex& tree = *db.btree(id);
+    tree.ScanAll([&](storage::RowId rid) {
+      if (!db.heap(0).IsLive(rid)) {
+        actual.emplace("<dead row>", rid);
+        return true;
+      }
+      const storage::Row& row = db.heap(0).row(rid);
+      bool stored = false;
+      tree.ScanPrefix(db.MakeIndexKey(def, row), std::nullopt, std::nullopt,
+                      [&](storage::RowId r) {
+                        stored = r == rid;
+                        return !stored;
+                      });
       std::string k;
-      for (const Value& v : key) k += v.ToSqlLiteral() + "|";
-      actual.emplace(k, rid);
+      for (catalog::ColumnId c : def.columns) {
+        k += row[c].ToSqlLiteral() + "|";
+      }
+      actual.emplace(stored ? k : "<not stored under its heap key>", rid);
       return true;
     });
     EXPECT_EQ(actual, expected) << "index "

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -74,43 +75,47 @@ IndexSignature(const Database& db) {
   return sig;
 }
 
-/// Canonical (key, rid) ordering: ties on equal keys break by rid. The
-/// B+Tree keeps equal keys in insertion order, which an online build
-/// (catch-up erase/insert) legitimately permutes relative to a heap-order
-/// rebuild — entry *sets* must match, tie order must not.
-void Canonicalize(std::vector<std::pair<Row, RowId>>* entries) {
-  std::sort(entries->begin(), entries->end(),
-            [](const std::pair<Row, RowId>& a,
-               const std::pair<Row, RowId>& b) {
-              storage::RowLess less;
-              if (less(a.first, b.first)) return true;
-              if (less(b.first, a.first)) return false;
-              return a.second < b.second;
-            });
-}
+/// (encoded key, rid) entries in canonical order: ties on equal keys break
+/// by rid. The B+Tree keeps equal keys in insertion order, which an online
+/// build (catch-up erase/insert) legitimately permutes relative to a
+/// heap-order rebuild — entry *sets* must match, tie order must not.
+using Entries = std::vector<std::pair<std::string, RowId>>;
 
-/// Every (key, rid) entry of a B+Tree, canonically ordered.
-std::vector<std::pair<Row, RowId>> IndexEntries(
-    const storage::BTreeIndex& tree) {
-  std::vector<std::pair<Row, RowId>> out;
-  tree.ScanAll([&](const Row& key, RowId rid) {
-    out.emplace_back(key, rid);
+/// Every entry of index `id`, canonically ordered. The tree stores encoded
+/// keys only, so each entry's key is read from its heap row and confirmed
+/// by probing the tree with it; an entry the probe does not find (a stale
+/// key, or a dead row) is reported under a marker that matches nothing.
+Entries IndexEntries(const Database& db, catalog::IndexId id) {
+  const catalog::IndexDef& def = *db.catalog().index(id);
+  const storage::BTreeIndex& tree = *db.btree(id);
+  const storage::HeapTable& heap = db.heap(def.table);
+  Entries out;
+  tree.ScanAll([&](RowId rid) {
+    out.emplace_back(
+        heap.IsLive(rid) ? db.MakeIndexKey(def, heap.row(rid)) : "", rid);
     return true;
   });
-  Canonicalize(&out);
+  for (auto& [key, rid] : out) {
+    bool stored = false;
+    tree.ScanPrefix(key, std::nullopt, std::nullopt, [&](RowId r) {
+      stored = r == rid;
+      return !stored;
+    });
+    if (!stored) key = "<not stored under its heap key>";
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 /// What the index *should* contain: one entry per live heap row, built
 /// from the row's current state. Canonically ordered.
-std::vector<std::pair<Row, RowId>> ExpectedEntries(
-    const Database& db, const catalog::IndexDef& def) {
-  std::vector<std::pair<Row, RowId>> out;
+Entries ExpectedEntries(const Database& db, const catalog::IndexDef& def) {
+  Entries out;
   db.heap(def.table).Scan([&](RowId rid, const Row& row) {
     out.emplace_back(db.MakeIndexKey(def, row), rid);
     return true;
   });
-  Canonicalize(&out);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -125,7 +130,7 @@ bool CheckAllOrNothing(const Database& db, const catalog::IndexDef& def) {
   const storage::BTreeIndex* tree = db.btree(found->id);
   EXPECT_NE(tree, nullptr) << "catalog entry without materialized tree";
   if (tree == nullptr) return true;
-  EXPECT_EQ(IndexEntries(*tree), ExpectedEntries(db, def))
+  EXPECT_EQ(IndexEntries(db, found->id), ExpectedEntries(db, def))
       << "installed index does not match the heap";
   return true;
 }
@@ -158,8 +163,8 @@ TEST_F(OnlineBuildTest, QuiescentBuildMatchesBlockingCreate) {
 
   Result<catalog::IndexId> blocking = blocking_db.CreateIndex(def);
   ASSERT_TRUE(blocking.ok());
-  EXPECT_EQ(IndexEntries(*online_db.btree(report.id)),
-            IndexEntries(*blocking_db.btree(blocking.ValueOrDie())));
+  EXPECT_EQ(IndexEntries(online_db, report.id),
+            IndexEntries(blocking_db, blocking.ValueOrDie()));
 }
 
 TEST_F(OnlineBuildTest, RejectsBadDefinitions) {
@@ -204,8 +209,7 @@ TEST_F(OnlineBuildTest, IndexIsMaintainedAfterSwap) {
   ASSERT_TRUE(db.UpdateRow(0, 5, moved).ok());
   ASSERT_TRUE(db.DeleteRow(0, 7).ok());
 
-  EXPECT_EQ(IndexEntries(*db.btree(r.ValueOrDie().id)),
-            ExpectedEntries(db, def));
+  EXPECT_EQ(IndexEntries(db, r.ValueOrDie().id), ExpectedEntries(db, def));
 }
 
 TEST_F(OnlineBuildTest, TransactionRollbackDropsOnlineBuiltIndex) {
@@ -501,8 +505,8 @@ TEST_F(OnlineBuildTest, ConcurrentDifferentialOracle) {
   ASSERT_TRUE(oracle.DropIndex(online_def->id).ok());
   Result<catalog::IndexId> fresh = oracle.CreateIndex(def);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(IndexEntries(*tpcc.db().btree(r.ValueOrDie().id)),
-            IndexEntries(*oracle.btree(fresh.ValueOrDie())));
+  EXPECT_EQ(IndexEntries(tpcc.db(), r.ValueOrDie().id),
+            IndexEntries(oracle, fresh.ValueOrDie()));
 }
 
 // ---------- seeded chaos schedules -------------------------------------------

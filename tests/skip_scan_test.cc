@@ -31,7 +31,7 @@ TEST(ScanSkipTest, VisitsEveryGroupOnce) {
   // Keys (g, v): groups 0..4, values 0..9 each.
   for (int64_t g = 0; g < 5; ++g) {
     for (int64_t v = 0; v < 10; ++v) {
-      index.Insert({Value::Int(g), Value::Int(v)},
+      index.Insert(storage::EncodeKey({Value::Int(g), Value::Int(v)}),
                    static_cast<storage::RowId>(g * 10 + v));
     }
   }
@@ -39,7 +39,7 @@ TEST(ScanSkipTest, VisitsEveryGroupOnce) {
   std::vector<storage::RowId> hits;
   index.ScanSkip(1, storage::KeyBound{Value::Int(3), true},
                  storage::KeyBound{Value::Int(4), true},
-                 [&](const storage::Row&, storage::RowId rid) {
+                 [&](storage::RowId rid) {
                    hits.push_back(rid);
                    return true;
                  },
@@ -57,14 +57,14 @@ TEST(ScanSkipTest, UnboundedScansWholeIndexGroupwise) {
   storage::BTreeIndex index;
   for (int64_t g = 0; g < 3; ++g) {
     for (int64_t v = 0; v < 4; ++v) {
-      index.Insert({Value::Int(g), Value::Int(v)},
+      index.Insert(storage::EncodeKey({Value::Int(g), Value::Int(v)}),
                    static_cast<storage::RowId>(g * 4 + v));
     }
   }
   uint64_t groups = 0;
   uint64_t visited = index.ScanSkip(
       1, std::nullopt, std::nullopt,
-      [](const storage::Row&, storage::RowId) { return true; }, &groups);
+      [](storage::RowId) { return true; }, &groups);
   EXPECT_EQ(groups, 3u);
   EXPECT_EQ(visited, 12u);
 }
@@ -72,12 +72,12 @@ TEST(ScanSkipTest, UnboundedScansWholeIndexGroupwise) {
 TEST(ScanSkipTest, EarlyStopPropagates) {
   storage::BTreeIndex index;
   for (int64_t g = 0; g < 4; ++g) {
-    index.Insert({Value::Int(g), Value::Int(1)},
+    index.Insert(storage::EncodeKey({Value::Int(g), Value::Int(1)}),
                  static_cast<storage::RowId>(g));
   }
   int seen = 0;
   index.ScanSkip(1, std::nullopt, std::nullopt,
-                 [&](const storage::Row&, storage::RowId) {
+                 [&](storage::RowId) {
                    return ++seen < 2;
                  });
   EXPECT_EQ(seen, 2);
@@ -88,13 +88,13 @@ TEST(ScanSkipTest, StringGroups) {
   int rid = 0;
   for (const char* g : {"alpha", "beta", "gamma"}) {
     for (int64_t v = 0; v < 3; ++v) {
-      index.Insert({Value::Str(g), Value::Int(v)}, rid++);
+      index.Insert(storage::EncodeKey({Value::Str(g), Value::Int(v)}), rid++);
     }
   }
   uint64_t groups = 0;
   uint64_t visited = index.ScanSkip(
       1, storage::KeyBound{Value::Int(2), true}, std::nullopt,
-      [](const storage::Row&, storage::RowId) { return true; }, &groups);
+      [](storage::RowId) { return true; }, &groups);
   EXPECT_EQ(groups, 3u);
   EXPECT_EQ(visited, 3u);  // one qualifying value per group
 }

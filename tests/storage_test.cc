@@ -58,12 +58,12 @@ TEST(HeapTableTest, UpdateReplacesRow) {
 
 TEST(BTreeIndexTest, PrefixScanExactMatch) {
   BTreeIndex idx;
-  idx.Insert({Value::Int(1), Value::Int(10)}, 0);
-  idx.Insert({Value::Int(1), Value::Int(20)}, 1);
-  idx.Insert({Value::Int(2), Value::Int(10)}, 2);
+  idx.Insert(EncodeKey({Value::Int(1), Value::Int(10)}), 0);
+  idx.Insert(EncodeKey({Value::Int(1), Value::Int(20)}), 1);
+  idx.Insert(EncodeKey({Value::Int(2), Value::Int(10)}), 2);
   std::vector<RowId> hits;
-  idx.ScanPrefix({Value::Int(1)}, std::nullopt, std::nullopt,
-                 [&](const Row&, RowId rid) {
+  idx.ScanPrefix(EncodeKey({Value::Int(1)}), std::nullopt, std::nullopt,
+                 [&](RowId rid) {
                    hits.push_back(rid);
                    return true;
                  });
@@ -75,13 +75,13 @@ TEST(BTreeIndexTest, PrefixScanExactMatch) {
 TEST(BTreeIndexTest, RangeBounds) {
   BTreeIndex idx;
   for (int i = 0; i < 10; ++i) {
-    idx.Insert({Value::Int(1), Value::Int(i)}, i);
+    idx.Insert(EncodeKey({Value::Int(1), Value::Int(i)}), i);
   }
   std::vector<RowId> hits;
-  idx.ScanPrefix({Value::Int(1)},
+  idx.ScanPrefix(EncodeKey({Value::Int(1)}),
                  KeyBound{Value::Int(3), /*inclusive=*/true},
                  KeyBound{Value::Int(6), /*inclusive=*/false},
-                 [&](const Row&, RowId rid) {
+                 [&](RowId rid) {
                    hits.push_back(rid);
                    return true;
                  });
@@ -91,12 +91,12 @@ TEST(BTreeIndexTest, RangeBounds) {
 TEST(BTreeIndexTest, ExclusiveLowerBound) {
   BTreeIndex idx;
   for (int i = 0; i < 5; ++i) {
-    idx.Insert({Value::Int(1), Value::Int(i)}, i);
+    idx.Insert(EncodeKey({Value::Int(1), Value::Int(i)}), i);
   }
   std::vector<RowId> hits;
-  idx.ScanPrefix({Value::Int(1)},
+  idx.ScanPrefix(EncodeKey({Value::Int(1)}),
                  KeyBound{Value::Int(2), /*inclusive=*/false}, std::nullopt,
-                 [&](const Row&, RowId rid) {
+                 [&](RowId rid) {
                    hits.push_back(rid);
                    return true;
                  });
@@ -105,19 +105,19 @@ TEST(BTreeIndexTest, ExclusiveLowerBound) {
 
 TEST(BTreeIndexTest, EraseSpecificEntry) {
   BTreeIndex idx;
-  idx.Insert({Value::Int(1)}, 0);
-  idx.Insert({Value::Int(1)}, 1);
-  EXPECT_TRUE(idx.Erase({Value::Int(1)}, 0));
-  EXPECT_FALSE(idx.Erase({Value::Int(1)}, 0));
+  idx.Insert(EncodeKey({Value::Int(1)}), 0);
+  idx.Insert(EncodeKey({Value::Int(1)}), 1);
+  EXPECT_TRUE(idx.Erase(EncodeKey({Value::Int(1)}), 0));
+  EXPECT_FALSE(idx.Erase(EncodeKey({Value::Int(1)}), 0));
   EXPECT_EQ(idx.entry_count(), 1u);
 }
 
 TEST(BTreeIndexTest, EmptyPrefixScansAll) {
   BTreeIndex idx;
-  for (int i = 0; i < 5; ++i) idx.Insert({Value::Int(i)}, i);
+  for (int i = 0; i < 5; ++i) idx.Insert(EncodeKey({Value::Int(i)}), i);
   int count = 0;
-  idx.ScanPrefix({}, std::nullopt, std::nullopt,
-                 [&](const Row&, RowId) {
+  idx.ScanPrefix("", std::nullopt, std::nullopt,
+                 [&](RowId) {
                    ++count;
                    return true;
                  });
@@ -126,13 +126,13 @@ TEST(BTreeIndexTest, EmptyPrefixScansAll) {
 
 TEST(BTreeIndexTest, StringKeys) {
   BTreeIndex idx;
-  idx.Insert({Value::Str("apple")}, 0);
-  idx.Insert({Value::Str("banana")}, 1);
-  idx.Insert({Value::Str("apricot")}, 2);
+  idx.Insert(EncodeKey({Value::Str("apple")}), 0);
+  idx.Insert(EncodeKey({Value::Str("banana")}), 1);
+  idx.Insert(EncodeKey({Value::Str("apricot")}), 2);
   std::vector<RowId> hits;
-  idx.ScanPrefix({}, KeyBound{Value::Str("ap"), true},
+  idx.ScanPrefix("", KeyBound{Value::Str("ap"), true},
                  KeyBound{Value::Str("aq"), false},
-                 [&](const Row&, RowId rid) {
+                 [&](RowId rid) {
                    hits.push_back(rid);
                    return true;
                  });
