@@ -130,10 +130,10 @@ int main() {
     std::string actions;
     if (report.ok()) {
       for (const auto& c : report.ValueOrDie().aim.recommended) {
-        actions += "+" + tuned.catalog().DescribeIndex(c.def) + " ";
+        actions += '+' + tuned.catalog().DescribeIndex(c.def) + ' ';
       }
       for (const auto& d : report.ValueOrDie().dropped) {
-        actions += "-" + tuned.catalog().DescribeIndex(d) + " ";
+        actions += '-' + tuned.catalog().DescribeIndex(d) + ' ';
       }
     }
     std::printf("%9d %12.4f %12.4f %8.1f%% %s\n", interval, tuned_cpu,

@@ -36,7 +36,7 @@ storage::Database BuildStarDb() {
   // distinct values, so an equality filter keeps ~10 rows.
   for (int d = 1; d <= 3; ++d) {
     catalog::TableDef def;
-    def.name = "d" + std::to_string(d);
+    def.name = 'd' + std::to_string(d);
     def.columns = {col("id", catalog::ColumnType::kInt64, 8),
                    col("a", catalog::ColumnType::kInt64, 4),
                    col("b", catalog::ColumnType::kInt64, 4)};

@@ -49,7 +49,7 @@ class JsonObject {
     return AddRaw(key, value ? "true" : "false");
   }
   JsonObject& Add(const std::string& key, const std::string& value) {
-    return AddRaw(key, "\"" + Escaped(value) + "\"");
+    return AddRaw(key, '"' + Escaped(value) + '"');
   }
   JsonObject& Add(const std::string& key, const char* value) {
     return Add(key, std::string(value));
@@ -64,7 +64,10 @@ class JsonObject {
     std::string out = "{";
     for (size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + Escaped(fields_[i].first) + "\": " + fields_[i].second;
+      out += '"';
+      out += Escaped(fields_[i].first);
+      out += "\": ";
+      out += fields_[i].second;
     }
     return out + "}";
   }

@@ -113,12 +113,14 @@ int main(int argc, char** argv) {
   core::AimOptions options;
   options.num_threads = 4;
   options.compression.enabled = true;
-  options.candidate_cache = &cache;
   // Single-pass generation: the carried-cluster arithmetic is the point
   // here, and a drifted phase-1 candidate set would legitimately change
   // phase 2's whole staged-configuration context.
   options.two_phase = false;
-  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
+  core::TuningResources resources;
+  resources.candidate_cache = &cache;
+  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options,
+                                  resources);
 
   const auto run = [&](const workload::Workload& w, const char* what)
       -> core::AimRunStats {

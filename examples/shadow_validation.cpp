@@ -1,11 +1,12 @@
-// MyShadow demo (Sec. VII-B): validate a risky index change on a sampled
-// clone before touching production — including catching a change that
-// would regress a query.
+// Clone validation demo (Sec. VII-B, the MyShadow contract): validate a
+// risky index change on clones of production before touching production
+// — including catching a change that would regress a query.
 //
 //   $ ./shadow_validation
 #include <cstdio>
+#include <vector>
 
-#include "support/myshadow.h"
+#include "core/clone_validation.h"
 #include "workload/demo.h"
 
 using namespace aim;
@@ -20,60 +21,50 @@ int main() {
   (void)w.Add(
       "UPDATE users SET score = 0 WHERE created_at BETWEEN 100 AND 120",
       20.0);
-
-  // An economical test bed: 25% sample of production.
-  support::MyShadow shadow(production, /*sample_fraction=*/0.25);
-  std::printf("production rows: %llu, shadow rows: %llu\n",
-              (unsigned long long)production.heap(0).live_count(),
-              (unsigned long long)shadow.db().heap(0).live_count());
-
-  // Baseline replay on the shadow.
-  Result<support::ShadowReplayResult> before_r =
-      shadow.Replay(w, optimizer::CostModel(), /*repetitions=*/5);
-  if (!before_r.ok()) {
-    std::fprintf(stderr, "replay failed: %s\n",
-                 before_r.status().ToString().c_str());
-    return 1;
+  std::vector<core::SelectedQuery> queries;
+  for (const workload::Query& q : w.queries) {
+    core::SelectedQuery sq;
+    sq.query = &q;
+    queries.push_back(sq);
   }
-  support::ShadowReplayResult before = before_r.MoveValue();
-  std::printf("baseline: %.5f CPU-s over %zu executions\n",
-              before.total_cpu_seconds, before.executed);
 
   // Proposed change: two candidate indexes, one useful, one that only
   // adds write amplification.
-  catalog::IndexDef useful;
-  useful.table = 0;
-  useful.columns = {1};  // org_id
-  catalog::IndexDef write_burden;
-  write_burden.table = 0;
-  write_burden.columns = {3, 4, 5};  // score, created_at, email
-  if (Status s = shadow.Materialize({useful, write_burden}); !s.ok()) {
-    std::fprintf(stderr, "materialize failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
+  core::CandidateIndex useful;
+  useful.def.table = 0;
+  useful.def.columns = {1};  // org_id
+  core::CandidateIndex write_burden;
+  write_burden.def.table = 0;
+  write_burden.def.columns = {3, 4, 5};  // score, created_at, email
 
-  Result<support::ShadowReplayResult> after_r =
-      shadow.Replay(w, optimizer::CostModel(), /*repetitions=*/5);
-  if (!after_r.ok()) {
-    std::fprintf(stderr, "replay failed: %s\n",
-                 after_r.status().ToString().c_str());
+  // Replays the workload on a control clone (production as-is) and a
+  // test clone with both candidates built as real B+Trees.
+  Result<core::CloneValidationResult> r = core::ValidateOnClone(
+      production, {useful, write_burden}, queries, optimizer::CostModel());
+  if (!r.ok()) {
+    std::fprintf(stderr, "validation failed: %s\n",
+                 r.status().ToString().c_str());
     return 1;
   }
-  support::ShadowReplayResult after = after_r.MoveValue();
-  std::printf("with candidates: %.5f CPU-s\n", after.total_cpu_seconds);
+  const core::CloneValidationResult& v = r.ValueOrDie();
+  std::printf("replayed %zu statements on both clones (%zu failed)\n",
+              v.executed, v.failed);
 
   // Per-query verdicts: the UPDATE pays maintenance on the wide index.
   std::printf("\n%-55s %12s %12s\n", "query", "cpu before", "cpu after");
-  for (const auto& q : w.queries) {
-    const workload::QueryStats* b = before.monitor.Find(q.fingerprint);
-    const workload::QueryStats* a = after.monitor.Find(q.fingerprint);
-    if (b == nullptr || a == nullptr) continue;
-    std::printf("%-55.55s %12.6f %12.6f %s\n", q.normalized_sql.c_str(),
-                b->cpu_avg(), a->cpu_avg(),
-                a->cpu_avg() > 1.2 * b->cpu_avg() ? "<-- REGRESSION"
-                                                  : "");
+  for (const core::QueryValidation& q : v.per_query) {
+    for (const workload::Query& wq : w.queries) {
+      if (wq.fingerprint != q.fingerprint) continue;
+      std::printf("%-55.55s %12.6f %12.6f %s\n", wq.normalized_sql.c_str(),
+                  q.cpu_before, q.cpu_after,
+                  q.regressed ? "<-- REGRESSION" : "");
+      break;
+    }
   }
-  std::printf("\nproduction untouched: %zu indexes\n",
+  std::printf("\naccepted %zu, rejected as unused %zu, no regressions: %s\n",
+              v.accepted.size(), v.rejected_unused.size(),
+              v.no_regressions ? "yes" : "no");
+  std::printf("production untouched: %zu indexes\n",
               production.catalog().AllIndexes(false, false).size());
   return 0;
 }

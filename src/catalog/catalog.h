@@ -68,7 +68,7 @@ struct TableDef {
 /// \brief The schema + statistics catalog for one database.
 ///
 /// Owns real and hypothetical index definitions. Cloneable (value type) so
-/// MyShadow can snapshot it.
+/// clone validation can copy it.
 class Catalog {
  public:
   Catalog() = default;
@@ -136,7 +136,7 @@ class Catalog {
   std::vector<TableDef> tables_;
   std::unordered_map<std::string, TableId> table_by_name_;
   // Index storage; dropped slots become nullopt (ids stay stable). Kept as
-  // a value container so Catalog is copyable (MyShadow clones it).
+  // a value container so Catalog is copyable (clone validation copies it).
   std::vector<std::optional<IndexDef>> indexes_;
 };
 

@@ -49,9 +49,9 @@ std::vector<SelectedQuery> AutomaticIndexManager::SelectQueries(
 }
 
 common::ThreadPool* AutomaticIndexManager::EnsurePool() {
-  if (options_.shared_pool != nullptr) {
+  if (resources_.shared_pool != nullptr) {
     pool_.reset();
-    return options_.shared_pool;
+    return resources_.shared_pool;
   }
   if (options_.num_threads <= 1) {
     pool_.reset();
@@ -109,11 +109,11 @@ Result<AimReport> AutomaticIndexManager::Recommend(
 
   optimizer::WhatIfOptimizer what_if(db_->catalog(), cm_);
   optimizer::WhatIfCache local_cache(options_.what_if_cache_entries);
-  optimizer::WhatIfCache* cache = options_.shared_cache != nullptr
-                                      ? options_.shared_cache
+  optimizer::WhatIfCache* cache = resources_.shared_cache != nullptr
+                                      ? resources_.shared_cache
                                       : &local_cache;
-  const bool cache_enabled =
-      options_.shared_cache != nullptr || options_.what_if_cache_entries > 0;
+  const bool cache_enabled = resources_.shared_cache != nullptr ||
+                             options_.what_if_cache_entries > 0;
   if (cache_enabled) what_if.set_cache(cache);
   // Shared caches arrive with history: report this run's activity as
   // deltas, and record how warm the cache was when the run began.
@@ -130,7 +130,7 @@ Result<AimReport> AutomaticIndexManager::Recommend(
   // order, making the result bit-identical to the serial fallback.
   std::vector<PartialOrder> orders;
   std::unordered_set<std::string> seen;
-  CandidateCache* const ccache = options_.candidate_cache;
+  CandidateCache* const ccache = resources_.candidate_cache;
   auto generate_pass = [&](bool covering_enabled) -> Status {
     CandidateGenOptions pass_opts = options_.candidates;
     pass_opts.enable_covering = covering_enabled;
@@ -280,12 +280,12 @@ Result<AimReport> AutomaticIndexManager::Recommend(
     // Quarantined arms never re-enter the pipeline: filtering the serial
     // concrete-candidate list (not the parallel generation) keeps the
     // exclusion bit-identical at any worker count.
-    if (options_.exploration_gate != nullptr) {
+    if (resources_.exploration_gate != nullptr) {
       const size_t before = candidates.size();
       candidates.erase(
           std::remove_if(candidates.begin(), candidates.end(),
                          [&](const catalog::IndexDef& def) {
-                           return options_.exploration_gate->IsQuarantined(
+                           return resources_.exploration_gate->IsQuarantined(
                                def);
                          }),
           candidates.end());
@@ -371,13 +371,13 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     }
   }
 
-  if (options_.exploration_gate != nullptr) {
+  if (resources_.exploration_gate != nullptr) {
     // Bandit admission: rank the validated set by UCB score and admit
     // under the interval's regret budget; the rest defer to the next
     // interval (by which time admitted arms have become real indexes and
     // left the candidate pool, freeing the budget).
     obs::Span gate_span(obs::Tracer::Get(), "exploration.gate");
-    ExplorationGate* gate = options_.exploration_gate;
+    ExplorationGate* gate = resources_.exploration_gate;
     AdmissionDecision decision = gate->Admit(report.recommended);
     report.exploration.gated = true;
     report.exploration.admitted = decision.admitted.size();
@@ -418,8 +418,8 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     // delta catch-up + bounded-stall swap, and the rollback is
     // latch-aware so it is safe under live traffic.
     AIM_FAULT_POINT("core.apply");
-    const bool online = options_.online_apply_db != nullptr;
-    storage::Database* target = online ? options_.online_apply_db : db_;
+    const bool online = resources_.online_apply_db != nullptr;
+    storage::Database* target = online ? resources_.online_apply_db : db_;
     storage::IndexSetTransaction txn(target,
                                      online ? &target->latch() : nullptr);
     RetryPolicy retry(options_.validation.retry);
@@ -476,8 +476,8 @@ Status AutomaticIndexManager::ApplyOrdered(AimReport* report) {
   report->deployment.modeled_time_to_half_benefit_seconds =
       plan.TimeToBenefitFraction(0.5);
 
-  const bool online = options_.online_apply_db != nullptr;
-  storage::Database* target = online ? options_.online_apply_db : db_;
+  const bool online = resources_.online_apply_db != nullptr;
+  storage::Database* target = online ? resources_.online_apply_db : db_;
   RetryPolicy retry(options_.validation.retry);
   storage::OnlineIndexBuilder builder(target, options_.online);
   std::vector<CandidateIndex> installed;

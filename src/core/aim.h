@@ -39,23 +39,40 @@ struct AimOptions {
   /// fallback (no pool, no worker clones). The pipeline is deterministic:
   /// any value produces bit-identical reports.
   int num_threads = 1;
-  /// Externally owned worker pool to fan out on instead of a private one
-  /// (`num_threads` is then ignored for pool sizing). This is how the
-  /// fleet tuner runs many tenants' inner what-if work on one shared
-  /// pool: inner tasks are queued one nesting level deeper than the
-  /// tenant-level tasks, and waiting tasks help drain deeper work, so
-  /// two-level fan-out on a single fixed-size pool cannot deadlock (see
-  /// common::ThreadPool). Determinism is unaffected — the pipeline is
-  /// bit-identical at any worker count. Null = private per-run pool.
-  common::ThreadPool* shared_pool = nullptr;
   /// Capacity (entries) of the memoizing plan-cost cache shared by all
   /// what-if clones of one run. 0 disables memoization entirely — the
   /// pre-cache engine, kept for A/B benchmarking.
   size_t what_if_cache_entries = 4096;
-  /// Externally owned plan-cost cache to use instead of a per-run one.
-  /// This is how the continuous tuner carries warm entries (and their
-  /// snapshot on disk) across intervals; the advisor never clears it —
-  /// lifetime and invalidation are the owner's job. Null = per-run cache.
+  /// Build knobs for the online apply path (ignored when
+  /// `TuningResources::online_apply_db` is null).
+  storage::OnlineBuildOptions online;
+  /// Workload compression (the CoPhy-style pre-pass): cluster the
+  /// interval's statements into templates / structural clusters and run
+  /// selection → candidate generation → ranking on weighted cluster
+  /// representatives, with per-cluster frequency roll-up. Off by default.
+  workload::WorkloadCompressionOptions compression;
+  /// Ordered per-step deployment of the approved set (Kimura et al.).
+  /// `deployment.ordered = false` keeps the classic all-or-nothing
+  /// single-transaction apply.
+  DeploymentOptions deployment;
+};
+
+/// Borrowed resources one AutomaticIndexManager runs with. Every pointer
+/// is owned by the caller, must outlive the manager, and may be null;
+/// lifetime and invalidation are the owner's job.
+struct TuningResources {
+  /// Worker pool to fan out on instead of a private one
+  /// (`AimOptions::num_threads` is then ignored for pool sizing). This is
+  /// how the fleet tuner runs many tenants' inner what-if work on one
+  /// shared pool: inner tasks are queued one nesting level deeper than
+  /// the tenant-level tasks, and waiting tasks help drain deeper work, so
+  /// two-level fan-out on a single fixed-size pool cannot deadlock (see
+  /// common::ThreadPool). Null = private per-run pool.
+  common::ThreadPool* shared_pool = nullptr;
+  /// Plan-cost cache to use instead of a per-run one. This is how the
+  /// continuous tuner carries warm entries across intervals; the advisor
+  /// never clears it. Null = per-run cache of
+  /// `AimOptions::what_if_cache_entries`.
   optimizer::WhatIfCache* shared_cache = nullptr;
   /// Online-apply target. When set, RunOnce's apply phase installs the
   /// accepted indexes on *this* database through OnlineIndexBuilder
@@ -64,32 +81,19 @@ struct AimOptions {
   /// tuner plans on a quiesced snapshot while installing on the live,
   /// traffic-bearing database. Null = classic blocking apply on `db`.
   storage::Database* online_apply_db = nullptr;
-  /// Build knobs for the online apply path (ignored when
-  /// `online_apply_db` is null).
-  storage::OnlineBuildOptions online;
-  /// Workload compression (the CoPhy-style pre-pass): cluster the
-  /// interval's statements into templates / structural clusters and run
-  /// selection → candidate generation → ranking on weighted cluster
-  /// representatives, with per-cluster frequency roll-up. Off by default.
-  workload::WorkloadCompressionOptions compression;
-  /// Externally owned per-cluster candidate cache — how the continuous
-  /// tuner makes candidate generation incremental across intervals. Keys
-  /// embed the statement, configuration, schema/stats, and option
-  /// fingerprints, so a hit is exactly what recomputation would produce;
-  /// drifted or new clusters miss and recompute. Null = recompute every
-  /// cluster. Lifetime and invalidation are the owner's job (the LRU ages
-  /// stale keys out on its own).
+  /// Per-cluster candidate cache — how the continuous tuner makes
+  /// candidate generation incremental across intervals. Keys embed the
+  /// statement, configuration, schema/stats, and option fingerprints, so
+  /// a hit is exactly what recomputation would produce; drifted or new
+  /// clusters miss and recompute (the LRU ages stale keys out). Null =
+  /// recompute every cluster.
   CandidateCache* candidate_cache = nullptr;
-  /// Externally owned exploration gate (bandit admission + quarantine).
-  /// When set, Recommend excludes quarantined candidates and RunOnce
-  /// gates the validated set through `Admit` before applying. Null = no
-  /// gating. The gate is mutated only from RunOnce's serial sections, so
-  /// the owner (the continuous tuner) needs no locking.
+  /// Exploration gate (bandit admission + quarantine). When set,
+  /// Recommend excludes quarantined candidates and RunOnce gates the
+  /// validated set through `Admit` before applying. Null = no gating. The
+  /// gate is mutated only from RunOnce's serial sections, so the owner
+  /// (the continuous tuner) needs no locking.
   ExplorationGate* exploration_gate = nullptr;
-  /// Ordered per-step deployment of the approved set (Kimura et al.).
-  /// `deployment.ordered = false` keeps the classic all-or-nothing
-  /// single-transaction apply.
-  DeploymentOptions deployment;
 };
 
 /// Run statistics, for the runtime comparisons of Fig. 4.
@@ -189,8 +193,9 @@ struct AimReport {
 class AutomaticIndexManager {
  public:
   AutomaticIndexManager(storage::Database* db, optimizer::CostModel cm,
-                        AimOptions options = {})
-      : db_(db), cm_(cm), options_(options) {}
+                        AimOptions options = {},
+                        TuningResources resources = {})
+      : db_(db), cm_(cm), options_(options), resources_(resources) {}
 
   /// Lines 1–2 + ranking of Algorithm 1 (no materialization). `monitor`
   /// may be null for pure bootstrap (weights drive the selection).
@@ -203,7 +208,6 @@ class AutomaticIndexManager {
                             const workload::WorkloadMonitor* monitor);
 
   const AimOptions& options() const { return options_; }
-  AimOptions* mutable_options() { return &options_; }
 
  private:
   /// Wraps every workload query as a SelectedQuery when no monitor data
@@ -226,6 +230,7 @@ class AutomaticIndexManager {
   storage::Database* db_;
   optimizer::CostModel cm_;
   AimOptions options_;
+  TuningResources resources_;
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

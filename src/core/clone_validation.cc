@@ -19,15 +19,11 @@ Result<CloneValidationResult> ValidateOnClone(
   CloneValidationResult result;
   if (selected.empty()) return result;
 
-  // Clone construction shares the MyShadow fault point: validation
-  // cannot start without its test environment.
-  AIM_FAULT_POINT("shadow.clone");
-
   // Control clone: production as-is. Test clone: production + candidates,
-  // actually materialized (B+Trees built). Losing the clone here — the
-  // `shard.clone.materialize` fault — fails this validation, which the
-  // sharding layer reads as "this shard vetoes", not as a crashed run.
-  AIM_FAULT_POINT("shard.clone.materialize");
+  // actually materialized (B+Trees built). Losing the clones here — the
+  // `core.clone` fault — fails this validation, which the sharding layer
+  // reads as "this shard vetoes", not as a crashed run.
+  AIM_FAULT_POINT("core.clone");
   storage::Database control = production;
   storage::Database test = production;
   std::vector<catalog::IndexDef> defs;

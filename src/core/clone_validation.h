@@ -80,10 +80,10 @@ struct CloneValidationResult {
 /// through `storage::Database::CreateIndexes`, fanning the heap scans over
 /// `pool` while keeping catalog registration and adoption serial in
 /// candidate order — ids and outcomes match the serial build exactly. The
-/// whole materialize-and-replay block sits behind the
-/// `shard.clone.materialize` fault point: an injected clone loss fails
-/// this validation, which callers must treat as "reject the candidates",
-/// never as corrupted production state.
+/// whole clone-materialize-and-replay block sits behind the `core.clone`
+/// fault point: an injected clone loss fails this validation, which
+/// callers must treat as "reject the candidates", never as corrupted
+/// production state.
 ///
 /// The replay fans out over `pool` in DML-delimited segments: runs of
 /// consecutive SELECTs execute concurrently (the executor's read path

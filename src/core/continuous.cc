@@ -5,6 +5,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -13,6 +14,121 @@
 #include "obs/trace.h"
 
 namespace aim::core {
+
+// ---------------------------------------------------------------------------
+// FleetCacheStore
+
+FleetCacheStore::FleetCacheStore(FleetCacheStoreOptions options)
+    : options_(std::move(options)) {}
+
+std::string FleetCacheStore::PathFor(uint64_t fingerprint) const {
+  return optimizer::SnapshotPathForFingerprint(
+      options_.snapshot_dir + "/whatif_cache", fingerprint);
+}
+
+FleetCacheStore::Lookup FleetCacheStore::GetOrCreate(
+    uint64_t schema_stats_fingerprint) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Lookup lookup;
+  auto it = stores_.find(schema_stats_fingerprint);
+  if (it != stores_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    lookup.cache = it->second.cache.get();
+    return lookup;
+  }
+  lookup.created = true;
+  StoreEntry entry;
+  entry.cache =
+      std::make_unique<optimizer::WhatIfCache>(options_.cache_entries);
+  if (!options_.snapshot_dir.empty()) {
+    std::ifstream in(PathFor(schema_stats_fingerprint), std::ios::binary);
+    if (in) {
+      Result<bool> loaded =
+          entry.cache->LoadFrom(in, schema_stats_fingerprint);
+      if (loaded.ok() && loaded.ValueOrDie()) {
+        lookup.loaded_from_snapshot = true;
+        ++snapshot_loads_;
+        obs::MetricsRegistry::Global()
+            ->counter("fleet.cache.snapshot_loads")
+            ->Add();
+      }
+      // A rejected or failed load is the designed cold start.
+    }
+  }
+  lru_.push_front(schema_stats_fingerprint);
+  entry.lru = lru_.begin();
+  lookup.cache = entry.cache.get();
+  stores_.emplace(schema_stats_fingerprint, std::move(entry));
+  return lookup;
+}
+
+Status FleetCacheStore::SaveAll() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (options_.snapshot_dir.empty()) return Status::OK();
+  Status first_error = Status::OK();
+  for (const auto& [fingerprint, entry] : stores_) {
+    Status st = optimizer::SaveSnapshotAtomic(*entry.cache,
+                                              PathFor(fingerprint),
+                                              fingerprint);
+    if (!st.ok() && first_error.ok()) first_error = st;
+  }
+  return first_error;
+}
+
+void FleetCacheStore::TrimToCapacity() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (options_.max_stores == 0) return;
+  while (stores_.size() > options_.max_stores) {
+    const uint64_t victim = lru_.back();
+    lru_.pop_back();
+    stores_.erase(victim);
+  }
+}
+
+size_t FleetCacheStore::store_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stores_.size();
+}
+
+uint64_t FleetCacheStore::snapshot_loads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_loads_;
+}
+
+// ---------------------------------------------------------------------------
+// ContinuousTuner
+
+ContinuousTuner::ContinuousTuner(storage::Database* db,
+                                 optimizer::CostModel cm,
+                                 ContinuousTunerOptions options,
+                                 FleetCacheStore* cache_store,
+                                 common::ThreadPool* pool)
+    : db_(db),
+      cm_(cm),
+      options_(std::move(options)),
+      cache_store_(cache_store),
+      pool_(pool) {
+  if (cache_store_ == nullptr && options_.carry_what_if_cache &&
+      options_.aim.what_if_cache_entries > 0) {
+    FleetCacheStoreOptions store;
+    store.cache_entries = options_.aim.what_if_cache_entries;
+    store.max_stores = 1;
+    own_cache_store_ = std::make_unique<FleetCacheStore>(store);
+    cache_store_ = own_cache_store_.get();
+  }
+  if (options_.carry_candidate_cache) {
+    candidate_cache_ =
+        std::make_unique<CandidateCache>(options_.candidate_cache_entries);
+  }
+}
+
+uint64_t ContinuousTuner::SchemaStatsFingerprint() const {
+  if (options_.online_apply) {
+    std::shared_lock<std::shared_mutex> lock(db_->latch());
+    return db_->catalog().SchemaStatsFingerprint();
+  }
+  return db_->catalog().SchemaStatsFingerprint();
+}
 
 void ContinuousTuner::ObserveUsage(const workload::Workload& workload,
                                    const storage::Database& db) {
@@ -68,61 +184,8 @@ void ContinuousTuner::ObserveUsage(const workload::Workload& workload,
   }
 }
 
-void ContinuousTuner::PrepareCache(IntervalReport* report) {
-  const bool carry = options_.carry_what_if_cache &&
-                     options_.aim.what_if_cache_entries > 0 &&
-                     options_.aim.shared_cache == nullptr;
-  if (!carry) {
-    cache_.reset();
-    return;
-  }
-  if (cache_ == nullptr) {
-    cache_ = std::make_unique<optimizer::WhatIfCache>(
-        options_.aim.what_if_cache_entries);
-  }
-  const uint64_t fp = [&] {
-    if (options_.online_apply) {
-      // Live writers mutate row counts (part of the fingerprint); read it
-      // under the shared latch they respect.
-      std::shared_lock<std::shared_mutex> lock(db_->latch());
-      return db_->catalog().SchemaStatsFingerprint();
-    }
-    return db_->catalog().SchemaStatsFingerprint();
-  }();
-  if (!snapshot_load_attempted_ && !options_.cache_snapshot_path.empty()) {
-    // One load per tuner lifetime: after the first Tick the in-memory
-    // cache is always at least as fresh as the snapshot. Snapshots are
-    // namespaced by the schema/statistics fingerprint so fleets of tuners
-    // can share one configured path without clobbering each other.
-    snapshot_load_attempted_ = true;
-    std::ifstream in(
-        optimizer::SnapshotPathForFingerprint(options_.cache_snapshot_path,
-                                              fp),
-        std::ios::binary);
-    if (in) {
-      Result<bool> adopted = cache_->LoadFrom(in, fp);
-      if (adopted.ok() && adopted.ValueOrDie()) {
-        report->cache_loaded_from_snapshot = true;
-        cache_schema_fingerprint_ = fp;
-      } else if (!adopted.ok()) {
-        AIM_LOG(Warn) << "what-if cache snapshot load failed (starting "
-                      << "cold): " << adopted.status().ToString();
-      }
-      // Rejected snapshots (stale fingerprint, old version, corruption)
-      // are the designed cold-start path: nothing to do.
-    }
-  }
-  if (cache_->size() > 0 && fp != cache_schema_fingerprint_) {
-    // Schema or statistics drifted since the carried costs were computed:
-    // every entry may now be wrong, so the whole cache goes.
-    cache_->Clear();
-    report->cache_invalidated = true;
-  }
-  cache_schema_fingerprint_ = fp;
-  report->cache_entries_carried = cache_->size();
-}
-
-void ContinuousTuner::PrepareGate(IntervalReport* report) {
+void ContinuousTuner::PrepareGate(uint64_t fingerprint,
+                                  IntervalReport* report) {
   if (!options_.exploration.enabled) {
     gate_.reset();
     detector_.reset();
@@ -134,8 +197,8 @@ void ContinuousTuner::PrepareGate(IntervalReport* report) {
         std::make_unique<support::RegressionDetector>(options_.regression);
   }
   if (!gate_load_attempted_) {
-    // One load per tuner lifetime, like the what-if cache snapshot: after
-    // the first Tick the in-memory gate is the freshest state there is.
+    // One load per tuner lifetime: after the first Tick the in-memory gate
+    // is the freshest state there is.
     gate_load_attempted_ = true;
     Status st = gate_->LoadSnapshot();
     if (!st.ok()) {
@@ -143,16 +206,9 @@ void ContinuousTuner::PrepareGate(IntervalReport* report) {
                     << "cold): " << st.ToString();
     }
   }
-  const uint64_t fp = [&] {
-    if (options_.online_apply) {
-      std::shared_lock<std::shared_mutex> lock(db_->latch());
-      return db_->catalog().SchemaStatsFingerprint();
-    }
-    return db_->catalog().SchemaStatsFingerprint();
-  }();
   // Drift voids the evidence behind every quarantine entry: release them
   // so the (possibly now-beneficial) indexes can compete again.
-  report->quarantine_released = gate_->SyncFingerprint(fp);
+  report->quarantine_released = gate_->SyncFingerprint(fingerprint);
   if (report->quarantine_released > 0) {
     static obs::Counter* const released =
         obs::MetricsRegistry::Global()->counter(
@@ -229,23 +285,6 @@ Status ContinuousTuner::ObserveRegressions(
   return Status::OK();
 }
 
-void ContinuousTuner::SaveCacheSnapshot() {
-  if (cache_ == nullptr || options_.cache_snapshot_path.empty()) return;
-  // Temp-file + rename: concurrent tuners sharing one configured path
-  // (fleet tenants, parallel test shards) can never interleave bytes or
-  // expose a torn snapshot; the fingerprint suffix keeps distinct schemas
-  // in distinct files outright.
-  Status st = optimizer::SaveSnapshotAtomic(
-      *cache_,
-      optimizer::SnapshotPathForFingerprint(options_.cache_snapshot_path,
-                                            cache_schema_fingerprint_),
-      cache_schema_fingerprint_);
-  if (!st.ok()) {
-    AIM_LOG(Warn) << "what-if cache snapshot save failed: "
-                  << st.ToString();
-  }
-}
-
 Result<IntervalReport> ContinuousTuner::Tick(
     const workload::Workload& workload,
     const workload::WorkloadMonitor* monitor) {
@@ -256,8 +295,22 @@ Result<IntervalReport> ContinuousTuner::Tick(
   ticks->Add();
   obs::Span tick_span(obs::Tracer::Get(), "tuner.tick");
   IntervalReport report;
-  PrepareCache(&report);
-  PrepareGate(&report);
+  const uint64_t fingerprint = SchemaStatsFingerprint();
+  optimizer::WhatIfCache* cache = nullptr;
+  if (cache_store_ != nullptr) {
+    const FleetCacheStore::Lookup lookup =
+        cache_store_->GetOrCreate(fingerprint);
+    cache = lookup.cache;
+    report.cache_entries_carried = cache->size();
+    report.cache_loaded_from_snapshot = lookup.loaded_from_snapshot;
+    // The tuner's own store keeps one fingerprint: a second one means the
+    // schema or statistics drifted, and the trim below retires the cache
+    // of the old one.
+    report.cache_invalidated = lookup.created &&
+                               own_cache_store_ != nullptr &&
+                               own_cache_store_->store_count() > 1;
+  }
+  PrepareGate(fingerprint, &report);
   // The cache/gate bookkeeping must survive a degraded-interval report
   // reset.
   const size_t cache_entries_carried = report.cache_entries_carried;
@@ -267,10 +320,9 @@ Result<IntervalReport> ContinuousTuner::Tick(
   tick_span.SetAttr("cache_entries_carried", cache_entries_carried);
   storage::IndexSetTransaction txn(
       db_, options_.online_apply ? &db_->latch() : nullptr);
-  Status st = TickInternal(workload, monitor, &txn, &report);
+  Status st = TickInternal(workload, monitor, cache, &txn, &report);
   if (st.ok()) {
     txn.Commit();
-    SaveCacheSnapshot();
     SaveGateSnapshot();
   } else {
     // Graceful degradation: skip the interval, roll the GC changes back
@@ -291,6 +343,7 @@ Result<IntervalReport> ContinuousTuner::Tick(
     degraded_ticks->Add();
     AIM_LOG(Warn) << "tuning interval degraded: " << st.ToString();
   }
+  if (own_cache_store_ != nullptr) own_cache_store_->TrimToCapacity();
   PruneUsage();
   tick_span.SetAttr("degraded", report.degraded);
   tick_span.SetAttr("dropped", report.dropped.size());
@@ -301,7 +354,7 @@ Result<IntervalReport> ContinuousTuner::Tick(
 
 Status ContinuousTuner::TickInternal(
     const workload::Workload& workload,
-    const workload::WorkloadMonitor* monitor,
+    const workload::WorkloadMonitor* monitor, optimizer::WhatIfCache* cache,
     storage::IndexSetTransaction* txn, IntervalReport* report) {
   AIM_FAULT_POINT("core.tick");
   // Online mode plans against a point-in-time copy taken under a brief
@@ -390,27 +443,18 @@ Status ContinuousTuner::TickInternal(
   }
 
   // Run AIM on this interval's statistics, against the carried plan-cost
-  // cache when one exists (PrepareCache already invalidated it if the
-  // schema or statistics drifted since the cached costs were computed).
-  AimOptions aim_options = options_.aim;
-  if (cache_ != nullptr) aim_options.shared_cache = cache_.get();
-  // Carried candidate cache: candidate generation reuses unchanged
-  // clusters across intervals and recomputes only drifted/new ones.
-  if (options_.carry_candidate_cache &&
-      options_.aim.candidate_cache == nullptr) {
-    if (candidate_cache_ == nullptr) {
-      candidate_cache_ =
-          std::make_unique<CandidateCache>(options_.candidate_cache_entries);
-    }
-    aim_options.candidate_cache = candidate_cache_.get();
-  }
-  if (options_.online_apply) {
-    // Plan on the snapshot; install on the live database online.
-    aim_options.online_apply_db = db_;
-    aim_options.online = options_.online;
-  }
-  if (gate_ != nullptr) aim_options.exploration_gate = gate_.get();
-  AutomaticIndexManager aim(tuning_db, cm_, aim_options);
+  // cache (Tick took it from the store of the current schema/statistics
+  // fingerprint) and the carried candidate cache, which reuses unchanged
+  // clusters across intervals and recomputes only drifted/new ones. In
+  // online mode AIM plans on the snapshot and installs on the live
+  // database.
+  TuningResources resources;
+  resources.shared_pool = pool_;
+  resources.shared_cache = cache;
+  if (options_.online_apply) resources.online_apply_db = db_;
+  resources.candidate_cache = candidate_cache_.get();
+  resources.exploration_gate = gate_.get();
+  AutomaticIndexManager aim(tuning_db, cm_, options_.aim, resources);
   AIM_ASSIGN_OR_RETURN(report->aim, aim.RunOnce(workload, monitor));
   if (gate_ != nullptr) {
     // Fold the interval's validated replay evidence into the admitted

@@ -1,8 +1,10 @@
 #ifndef AIM_CORE_CONTINUOUS_H_
 #define AIM_CORE_CONTINUOUS_H_
 
+#include <list>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,10 +29,11 @@ struct ContinuousTunerOptions {
   /// Keep the what-if plan-cost cache alive across intervals instead of
   /// rebuilding it from zero every Tick. Sound because cache keys embed
   /// the index-configuration fingerprint (so DDL between intervals only
-  /// adds new keys) and the tuner clears the cache whenever the schema
-  /// or statistics drift (see Catalog::SchemaStatsFingerprint). Requires
-  /// `aim.what_if_cache_entries > 0`; ignored when the tuner is handed an
-  /// `aim.shared_cache` explicitly.
+  /// adds new keys), and the tuner's own store keeps only the cache of
+  /// the current schema/statistics fingerprint (see
+  /// Catalog::SchemaStatsFingerprint), so drift starts a fresh cache.
+  /// Requires `aim.what_if_cache_entries > 0`; ignored when the tuner is
+  /// handed a cache store.
   bool carry_what_if_cache = true;
   /// Keep per-cluster candidate-generation results across intervals
   /// (incremental candidate generation). Cache keys embed the statement,
@@ -39,31 +42,18 @@ struct ContinuousTunerOptions {
   /// and any interval after schema/statistics or configuration drift —
   /// miss and recompute; the bounded LRU ages stale keys out. Reuse is
   /// exact (a hit equals recomputation), so this never changes a
-  /// selection. Ignored when the tuner is handed an
-  /// `aim.candidate_cache` explicitly.
+  /// selection.
   bool carry_candidate_cache = true;
   /// Capacity of the carried candidate cache, entries (clusters × passes).
   size_t candidate_cache_entries = 8192;
-  /// When non-empty, the carried cache is additionally persisted under
-  /// this path: a snapshot is loaded once on the first Tick (warm-starting
-  /// a restarted tuner) and rewritten after every successful interval. A
-  /// missing, stale, or corrupt snapshot simply cold-starts the cache.
-  /// The actual file is namespaced by schema/statistics fingerprint —
-  /// `optimizer::SnapshotPathForFingerprint(path, fp)` — and written via
-  /// temp-file + atomic rename, so any number of tuners (a fleet of
-  /// tenants, concurrent processes) may share one configured path without
-  /// torn or clobbered snapshots.
-  std::string cache_snapshot_path;
   /// Tune a live, traffic-bearing database. Each Tick then plans and
   /// validates against a snapshot copied under a brief exclusive
   /// acquisition of the database latch(), while accepted indexes install
   /// on the live database through OnlineIndexBuilder (side-build + delta
   /// catch-up + bounded-stall swap) and GC drops go through a latch-aware
   /// transaction. Requires every concurrent writer/reader to follow the
-  /// Database latch() protocol.
+  /// Database latch() protocol. Build knobs are `aim.online`.
   bool online_apply = false;
-  /// Build knobs for online installs (ignored unless `online_apply`).
-  storage::OnlineBuildOptions online;
   /// Bandit-guarded exploration (see ExplorationGate). When enabled the
   /// tuner owns a gate: quarantined candidates are excluded from
   /// generation, the validated set is admitted under the per-interval
@@ -91,11 +81,12 @@ struct IntervalReport {
   Status error;
   /// Cross-interval plan-cost cache bookkeeping (valid even on degraded
   /// intervals). `cache_entries_carried` is how many warm entries this
-  /// interval started with; per-interval hit/miss deltas live in
+  /// interval started with (with a store shared by concurrent tuners, it
+  /// depends on their timing); per-interval hit/miss deltas live in
   /// `aim.stats`. `cache_invalidated` means schema/statistics drift
-  /// cleared the carried entries before this interval's run;
+  /// retired the tuner's own carried cache before this interval's run;
   /// `cache_loaded_from_snapshot` means the warm entries came from the
-  /// persisted snapshot rather than the previous interval.
+  /// store's snapshot directory rather than an earlier interval.
   size_t cache_entries_carried = 0;
   bool cache_loaded_from_snapshot = false;
   bool cache_invalidated = false;
@@ -110,15 +101,94 @@ struct IntervalReport {
   size_t quarantine_released = 0;
 };
 
+struct FleetCacheStoreOptions {
+  /// Capacity (entries) of each per-schema plan-cost cache.
+  size_t cache_entries = 4096;
+  /// Schema-fingerprint-keyed caches kept in memory; least-recently-used
+  /// stores beyond this are evicted at interval boundaries.
+  size_t max_stores = 64;
+  /// When non-empty, every store persists here (one file per schema
+  /// fingerprint, temp-file + atomic rename) and new stores warm-start
+  /// from disk — a restarted tuning service resumes with warm caches.
+  std::string snapshot_dir;
+};
+
+/// \brief The owner of carried what-if caches: one `WhatIfCache` per
+/// `Catalog::SchemaStatsFingerprint`, shared by every tuner whose schema
+/// + statistics fingerprint matches. In a fleet, same-schema tenants
+/// therefore warm-start each other: the second tenant of a family begins
+/// with every plan cost its sibling already computed. Sound because a
+/// fingerprint pins the cost model's whole input — a cached (statement,
+/// configuration) cost equals what recomputation would produce for ANY
+/// database with that fingerprint, so sharing can never change a
+/// decision. A ContinuousTuner handed no store owns one with
+/// `max_stores` 1 and trims it after every Tick: schema or statistics
+/// drift then retires the old cache.
+///
+/// This is the only code that loads or saves what-if cache snapshots.
+/// Thread-safe lookup; eviction only happens in TrimToCapacity, which
+/// the owner must invoke at quiescent points (no tuner mid-tick), since
+/// running tuners hold bare cache pointers.
+class FleetCacheStore {
+ public:
+  /// What one GetOrCreate found.
+  struct Lookup {
+    optimizer::WhatIfCache* cache = nullptr;
+    /// No store existed for the fingerprint: this call made one.
+    bool created = false;
+    /// The new store warm-started from its snapshot on disk.
+    bool loaded_from_snapshot = false;
+  };
+
+  explicit FleetCacheStore(FleetCacheStoreOptions options = {});
+
+  /// The cache for one schema fingerprint, created (and, with a snapshot
+  /// dir, loaded from disk) on first sight, and marked most recently
+  /// used. The pointer stays valid until the next TrimToCapacity.
+  Lookup GetOrCreate(uint64_t schema_stats_fingerprint);
+
+  /// Best-effort persistence of every store (atomic per file). Returns
+  /// the first failure but keeps writing the rest.
+  Status SaveAll();
+
+  /// Evicts least-recently-used stores beyond `max_stores`. Quiescent
+  /// callers only.
+  void TrimToCapacity();
+
+  size_t store_count() const;
+  /// Stores that warm-started from a disk snapshot.
+  uint64_t snapshot_loads() const;
+
+ private:
+  struct StoreEntry {
+    std::unique_ptr<optimizer::WhatIfCache> cache;
+    std::list<uint64_t>::iterator lru;
+  };
+
+  std::string PathFor(uint64_t fingerprint) const;
+
+  FleetCacheStoreOptions options_;
+  mutable std::mutex mu_;
+  std::map<uint64_t, StoreEntry> stores_;
+  std::list<uint64_t> lru_;  // most recently used at front
+  uint64_t snapshot_loads_ = 0;
+};
+
 /// \brief Periodic (naïve, per Sec. VI-D) continuous tuning: run AIM at
 /// the end of every statistics interval, and garbage-collect
 /// automation-created indexes that the current workload's plans no longer
 /// use — entirely or in their trailing key parts.
 class ContinuousTuner {
  public:
+  /// `cache_store` supplies the carried what-if cache; its owner persists
+  /// and trims it. Without one, the tuner owns a single-fingerprint store
+  /// of `aim.what_if_cache_entries` entries when `carry_what_if_cache` is
+  /// on. Every run fans out on `pool` instead of a private one when it is
+  /// set. Both are borrowed, may be null, and must outlive the tuner.
   ContinuousTuner(storage::Database* db, optimizer::CostModel cm,
-                  ContinuousTunerOptions options = {})
-      : db_(db), cm_(cm), options_(options) {}
+                  ContinuousTunerOptions options = {},
+                  FleetCacheStore* cache_store = nullptr,
+                  common::ThreadPool* pool = nullptr);
 
   /// One tuning interval: analyze usage of existing automation indexes
   /// against the current workload, drop/shrink idle ones, then run AIM on
@@ -131,19 +201,8 @@ class ContinuousTuner {
   Result<IntervalReport> Tick(const workload::Workload& workload,
                               const workload::WorkloadMonitor* monitor);
 
-  /// The carried plan-cost cache; null when carrying is disabled. Exposed
-  /// for tests and benchmarks asserting warm-start behaviour.
-  const optimizer::WhatIfCache* cache() const { return cache_.get(); }
-
-  /// Mutable options, for owners that re-point per-interval resources —
-  /// the fleet tuner injects the schema-keyed shared `aim.shared_cache`
-  /// (and the fleet-wide `aim.shared_pool`) before each Tick. Changing
-  /// tuning semantics mid-flight is the caller's responsibility.
-  ContinuousTunerOptions* mutable_options() { return &options_; }
-
-  /// The carried candidate cache; null until the first Tick (or when
-  /// carrying is disabled). Exposed for tests asserting incremental
-  /// candidate generation.
+  /// The carried candidate cache; null when carrying is disabled. Exposed
+  /// for tests asserting incremental candidate generation.
   const CandidateCache* candidate_cache() const {
     return candidate_cache_.get();
   }
@@ -169,32 +228,27 @@ class ContinuousTuner {
                     const storage::Database& db);
 
   /// The fallible interval body; all index changes go through `txn` so
-  /// Tick can roll them back on failure.
+  /// Tick can roll them back on failure. `cache` is the carried what-if
+  /// cache (null = a per-run cache).
   Status TickInternal(const workload::Workload& workload,
                       const workload::WorkloadMonitor* monitor,
+                      optimizer::WhatIfCache* cache,
                       storage::IndexSetTransaction* txn,
                       IntervalReport* report);
+
+  /// The live database's schema/statistics fingerprint, read under the
+  /// shared latch in online mode (live writers change row counts).
+  uint64_t SchemaStatsFingerprint() const;
 
   /// Drops usage entries whose index no longer exists (rolled-back or
   /// externally dropped ids).
   void PruneUsage();
 
-  /// Readies `cache_` for the coming interval: allocates it on first use,
-  /// loads the snapshot exactly once, and clears carried entries when the
-  /// schema/statistics fingerprint drifted. Fills the report's cache
-  /// bookkeeping fields (they survive a degraded-interval reset because
-  /// Tick re-applies them after the reset).
-  void PrepareCache(IntervalReport* report);
-
-  /// Best-effort snapshot write after a successful interval; failures are
-  /// logged, never surfaced (the cache stays warm in memory regardless).
-  void SaveCacheSnapshot();
-
   /// Readies the exploration gate: allocates it (and the regression
   /// detector) on the first enabled Tick, loads the persisted gate state
-  /// exactly once, and releases quarantine entries whose schema/stats
-  /// fingerprint drifted.
-  void PrepareGate(IntervalReport* report);
+  /// exactly once, and releases quarantine entries recorded under a
+  /// schema/stats fingerprint other than `fingerprint`.
+  void PrepareGate(uint64_t fingerprint, IntervalReport* report);
 
   /// Best-effort gate-state write after a successful interval.
   void SaveGateSnapshot();
@@ -214,16 +268,15 @@ class ContinuousTuner {
   optimizer::CostModel cm_;
   ContinuousTunerOptions options_;
   std::map<catalog::IndexId, UsageState> usage_;
-  /// Carried across Ticks; keyed entries stay valid across index DDL, so
-  /// only schema/statistics drift clears it.
-  std::unique_ptr<optimizer::WhatIfCache> cache_;
+  /// The default store (null when the caller passed one or carrying is
+  /// off); `cache_store_` points at whichever store is in use.
+  std::unique_ptr<FleetCacheStore> own_cache_store_;
+  FleetCacheStore* cache_store_;
+  common::ThreadPool* pool_;
   /// Carried per-cluster candidate-generation results (incremental
   /// candgen). Never explicitly invalidated: keys embed every input
   /// fingerprint, so drift surfaces as misses and the LRU evicts.
   std::unique_ptr<CandidateCache> candidate_cache_;
-  /// SchemaStatsFingerprint the cached costs were computed against.
-  uint64_t cache_schema_fingerprint_ = 0;
-  bool snapshot_load_attempted_ = false;
   /// Bandit exploration gate + its regression feedback source; allocated
   /// on the first Tick with `exploration.enabled`. Mutated only in the
   /// tuner's serial sections.

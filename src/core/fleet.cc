@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <numeric>
 #include <utility>
 
@@ -12,86 +11,12 @@
 namespace aim::core {
 
 // ---------------------------------------------------------------------------
-// FleetCacheStore
-
-FleetCacheStore::FleetCacheStore(FleetCacheStoreOptions options)
-    : options_(std::move(options)) {}
-
-std::string FleetCacheStore::PathFor(uint64_t fingerprint) const {
-  return optimizer::SnapshotPathForFingerprint(
-      options_.snapshot_dir + "/whatif_cache", fingerprint);
-}
-
-optimizer::WhatIfCache* FleetCacheStore::GetOrCreate(
-    uint64_t schema_stats_fingerprint) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = stores_.find(schema_stats_fingerprint);
-  if (it != stores_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return it->second.cache.get();
-  }
-  StoreEntry entry;
-  entry.cache =
-      std::make_unique<optimizer::WhatIfCache>(options_.cache_entries);
-  if (!options_.snapshot_dir.empty()) {
-    std::ifstream in(PathFor(schema_stats_fingerprint), std::ios::binary);
-    if (in) {
-      Result<bool> loaded =
-          entry.cache->LoadFrom(in, schema_stats_fingerprint);
-      if (loaded.ok() && loaded.ValueOrDie()) {
-        ++snapshot_loads_;
-        obs::MetricsRegistry::Global()
-            ->counter("fleet.cache.snapshot_loads")
-            ->Add();
-      }
-      // A rejected or failed load is the designed cold start.
-    }
-  }
-  lru_.push_front(schema_stats_fingerprint);
-  entry.lru = lru_.begin();
-  optimizer::WhatIfCache* cache = entry.cache.get();
-  stores_.emplace(schema_stats_fingerprint, std::move(entry));
-  return cache;
-}
-
-Status FleetCacheStore::SaveAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.snapshot_dir.empty()) return Status::OK();
-  Status first_error = Status::OK();
-  for (const auto& [fingerprint, entry] : stores_) {
-    Status st = optimizer::SaveSnapshotAtomic(*entry.cache,
-                                              PathFor(fingerprint),
-                                              fingerprint);
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  return first_error;
-}
-
-void FleetCacheStore::TrimToCapacity() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (options_.max_stores == 0) return;
-  while (stores_.size() > options_.max_stores) {
-    const uint64_t victim = lru_.back();
-    lru_.pop_back();
-    stores_.erase(victim);
-  }
-}
-
-size_t FleetCacheStore::store_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stores_.size();
-}
-
-uint64_t FleetCacheStore::snapshot_loads() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_loads_;
-}
-
-// ---------------------------------------------------------------------------
 // FleetTuner
 
 FleetTuner::FleetTuner(FleetTunerOptions options)
-    : options_(std::move(options)), cache_store_(options_.cache_store) {}
+    : options_(std::move(options)),
+      cache_store_(options_.cache_store),
+      pool_(options_.num_threads <= 1 ? 0 : options_.num_threads) {}
 
 void FleetTuner::AddTenant(std::string name, storage::Database* db,
                            const workload::Workload* workload,
@@ -101,18 +26,10 @@ void FleetTuner::AddTenant(std::string name, storage::Database* db,
   t.db = db;
   t.workload = workload;
   t.monitor = monitor;
-  t.tuner = std::make_unique<ContinuousTuner>(db, options_.cost_model,
-                                              options_.tuner);
+  t.tuner = std::make_unique<ContinuousTuner>(
+      db, options_.cost_model, options_.tuner, &cache_store_, &pool_);
   t.cost_estimate = options_.default_cost_seconds;
   tenants_.push_back(std::move(t));
-}
-
-common::ThreadPool* FleetTuner::EnsurePool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::ThreadPool>(
-        options_.num_threads <= 1 ? 0 : options_.num_threads);
-  }
-  return pool_.get();
 }
 
 double FleetTuner::BenefitEstimate(const TenantState& t) const {
@@ -213,19 +130,13 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
   report.tenants_skipped_budget =
       tenants_.size() - admitted.size();
 
-  // ---- Bind shared resources (serial: GetOrCreate may touch disk and
-  // the "did the store already exist" observation must be race-free).
-  common::ThreadPool* pool = EnsurePool();
+  // ---- Create the admitted tenants' cache stores (serial). Ticks look
+  // their store up again in parallel; doing it here first, in admission
+  // order, keeps disk loads and `cache_shared` independent of scheduling.
   for (size_t i : admitted) {
-    TenantState& t = tenants_[i];
     TenantOutcome& out = report.outcomes[i];
-    const size_t stores_before = cache_store_.store_count();
-    optimizer::WhatIfCache* cache =
-        cache_store_.GetOrCreate(out.schema_fingerprint);
-    out.cache_shared = cache_store_.store_count() == stores_before;
-    ContinuousTunerOptions* topts = t.tuner->mutable_options();
-    topts->aim.shared_cache = cache;
-    topts->aim.shared_pool = pool;
+    out.cache_shared =
+        !cache_store_.GetOrCreate(out.schema_fingerprint).created;
   }
 
   // ---- Tune the admitted tenants in parallel. -----------------------
@@ -248,7 +159,7 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
     for (size_t i : admitted) {
       TenantState& t = tenants_[i];
       TickResult& slot = results[i];
-      futures.push_back(pool->Submit([&t, &slot, parent] {
+      futures.push_back(pool_.Submit([&t, &slot, parent] {
         obs::Span tenant_span(obs::Tracer::Get(), "fleet.tenant", parent);
         tenant_span.SetAttr("tenant", t.name);
         const auto start = std::chrono::steady_clock::now();
@@ -267,7 +178,7 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
       }));
     }
     for (std::future<void>& f : futures) {
-      pool->WaitHelping(f);
+      pool_.WaitHelping(f);
       f.get();
     }
   }
@@ -332,8 +243,14 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
   }
 
   // ---- Persist + trim the cache store (quiescent: no tenant mid-tick).
+  // The parallel ticks touched the admitted stores in completion order;
+  // touching them again in admission order makes the LRU order, and so
+  // what the trim evicts, independent of scheduling.
+  for (size_t i : admitted) {
+    cache_store_.GetOrCreate(report.outcomes[i].schema_fingerprint);
+  }
   Status save = cache_store_.SaveAll();
-  (void)save;  // best-effort, like ContinuousTuner::SaveCacheSnapshot
+  (void)save;  // best-effort: a failed save only costs a warm start
   cache_store_.TrimToCapacity();
   report.cache_stores = cache_store_.store_count();
 

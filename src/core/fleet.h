@@ -1,10 +1,7 @@
 #ifndef AIM_CORE_FLEET_H_
 #define AIM_CORE_FLEET_H_
 
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,70 +25,9 @@ struct FleetBudget {
   int max_clones = 0;
 };
 
-struct FleetCacheStoreOptions {
-  /// Capacity (entries) of each per-schema plan-cost cache.
-  size_t cache_entries = 4096;
-  /// Schema-fingerprint-keyed caches kept in memory; least-recently-used
-  /// stores beyond this are evicted at interval boundaries.
-  size_t max_stores = 64;
-  /// When non-empty, every store persists here (one file per schema
-  /// fingerprint, temp-file + atomic rename) and new stores warm-start
-  /// from disk — a restarted fleet service resumes with warm caches.
-  std::string snapshot_dir;
-};
-
-/// \brief The fleet's persistent what-if cache store: one `WhatIfCache`
-/// per `Catalog::SchemaStatsFingerprint`, shared by every tenant whose
-/// schema + statistics fingerprint matches. Same-schema tenants therefore
-/// warm-start each other: the second tenant of a family begins with every
-/// plan cost its sibling already computed. Sound because a fingerprint
-/// pins the cost model's whole input — a cached (statement, configuration)
-/// cost equals what recomputation would produce for ANY tenant with that
-/// fingerprint, so sharing can never change a decision.
-///
-/// Thread-safe lookup; eviction only happens in TrimToCapacity, which
-/// callers must invoke at quiescent points (no tenant mid-tick), since
-/// running tuners hold bare cache pointers.
-class FleetCacheStore {
- public:
-  explicit FleetCacheStore(FleetCacheStoreOptions options = {});
-
-  /// The cache for one schema fingerprint, created (and, with a snapshot
-  /// dir, loaded from disk) on first sight. The pointer stays valid until
-  /// the next TrimToCapacity.
-  optimizer::WhatIfCache* GetOrCreate(uint64_t schema_stats_fingerprint);
-
-  /// Best-effort persistence of every store (atomic per file). Returns
-  /// the first failure but keeps writing the rest.
-  Status SaveAll();
-
-  /// Evicts least-recently-used stores beyond `max_stores`. Quiescent
-  /// callers only.
-  void TrimToCapacity();
-
-  size_t store_count() const;
-  /// Stores that warm-started from a disk snapshot.
-  uint64_t snapshot_loads() const;
-
- private:
-  struct StoreEntry {
-    std::unique_ptr<optimizer::WhatIfCache> cache;
-    std::list<uint64_t>::iterator lru;
-  };
-
-  std::string PathFor(uint64_t fingerprint) const;
-
-  FleetCacheStoreOptions options_;
-  mutable std::mutex mu_;
-  std::map<uint64_t, StoreEntry> stores_;
-  std::list<uint64_t> lru_;  // most recently used at front
-  uint64_t snapshot_loads_ = 0;
-};
-
 struct FleetTunerOptions {
-  /// Per-tenant tuner template. `aim.shared_cache` and `aim.shared_pool`
-  /// are overwritten per tick by the fleet (schema-keyed store cache,
-  /// fleet-wide pool); everything else applies to every tenant alike.
+  /// Per-tenant tuner options, alike for every tenant. Each tenant tuner
+  /// borrows the fleet's cache store and worker pool.
   ContinuousTunerOptions tuner;
   optimizer::CostModel cost_model = optimizer::CostModel();
   FleetBudget budget;
@@ -131,8 +67,10 @@ struct TenantOutcome {
   bool skipped_for_budget = false;
   IntervalReport report;
   double measured_seconds = 0.0;
-  /// True when this tenant's cache already existed in the store (it
-  /// warm-started off a same-schema sibling or a disk snapshot).
+  /// True when this tenant's cache already existed in the store (a
+  /// same-schema sibling made it, this interval or earlier). A store
+  /// first made for this tenant counts as not shared, even when it
+  /// warm-started from a disk snapshot.
   bool cache_shared = false;
 };
 
@@ -201,7 +139,6 @@ class FleetTuner {
     bool ever_tuned = false;
   };
 
-  common::ThreadPool* EnsurePool();
   double Priority(const TenantState& t, double benefit) const;
   /// Benefit signal for ranking: last report's measured per-query CPU
   /// deltas (or the never-tuned prior) plus the aggregator's view.
@@ -211,7 +148,7 @@ class FleetTuner {
   std::vector<TenantState> tenants_;
   support::FleetAggregator aggregator_;
   FleetCacheStore cache_store_;
-  std::unique_ptr<common::ThreadPool> pool_;
+  common::ThreadPool pool_;
   int interval_ = 0;
 };
 

@@ -17,7 +17,7 @@ namespace aim::core {
 namespace {
 std::string Key(const catalog::IndexDef& def) {
   std::string k = std::to_string(def.table);
-  for (catalog::ColumnId c : def.columns) k += "," + std::to_string(c);
+  for (catalog::ColumnId c : def.columns) k += ',' + std::to_string(c);
   return k;
 }
 }  // namespace
@@ -88,8 +88,7 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
   common::ThreadPool* pool = EnsurePool();
   CloneValidationOptions validation_opts = options_.aim.validation;
   validation_opts.dedup_replay = validation_opts.dedup_replay ||
-                                 options_.aim.what_if_cache_entries > 0 ||
-                                 options_.aim.shared_cache != nullptr;
+                                 options_.aim.what_if_cache_entries > 0;
 
   // Fan the clone validations out over the pool, one slot per shard.
   // When several shards validate concurrently each validation replays

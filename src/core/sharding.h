@@ -30,7 +30,7 @@ struct ShardValidation {
   size_t shard = 0;
   CloneValidationResult result;
   /// Non-OK when this shard's validation never completed — its clone was
-  /// lost mid-materialization or mid-replay (`shard.clone.materialize`,
+  /// lost mid-materialization or mid-replay (`core.clone`,
   /// `shard.validate`). `result` is then empty and the shard counts as a
   /// veto: a shard we could not validate is a shard we must assume would
   /// regress.
@@ -69,7 +69,7 @@ struct ShardedReport {
 /// instead parallelizes inside the one validation.
 ///
 /// A shard lost mid-validation (fault points `shard.validate` and
-/// `shard.clone.materialize`) degrades the run instead of failing it:
+/// `core.clone`) degrades the run instead of failing it:
 /// the lost shard vetoes the candidate set (all candidates land in
 /// `rejected_by_shards`), production stays untouched, and the report
 /// carries `degraded` / `shards_lost` so operators can distinguish "no

@@ -114,10 +114,13 @@ std::string NormalizedSql(const Statement& stmt) {
 }
 
 uint64_t NormalizedFingerprint(const Statement& stmt) {
+  return TextFingerprint(NormalizedSql(stmt));
+}
+
+uint64_t TextFingerprint(std::string_view normalized_sql) {
   // FNV-1a over the normalized text.
-  const std::string text = NormalizedSql(stmt);
   uint64_t h = 1469598103934665603ULL;
-  for (char c : text) {
+  for (char c : normalized_sql) {
     h ^= static_cast<uint8_t>(c);
     h *= 1099511628211ULL;
   }

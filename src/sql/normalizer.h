@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sql/ast.h"
 
@@ -35,6 +36,10 @@ std::string NormalizedSql(const Statement& stmt);
 /// Stable 64-bit fingerprint of the normalized SQL text, used as the
 /// per-normalized-query key in the workload monitor.
 uint64_t NormalizedFingerprint(const Statement& stmt);
+
+/// The fingerprint of text NormalizedSql already produced:
+/// `NormalizedFingerprint(s) == TextFingerprint(NormalizedSql(s))`.
+uint64_t TextFingerprint(std::string_view normalized_sql);
 
 }  // namespace aim::sql
 

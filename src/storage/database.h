@@ -44,7 +44,7 @@ using DmlHook = std::function<void(DmlOp op, catalog::TableId table, RowId rid)>
 class Database {
  public:
   Database() = default;
-  // Deep-copyable for MyShadow cloning.
+  // Deep-copyable for clone validation and online snapshots.
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&&) = default;

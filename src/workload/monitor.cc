@@ -15,8 +15,8 @@ WorkloadMonitor& WorkloadMonitor::operator=(const WorkloadMonitor& other) {
 
 void WorkloadMonitor::Record(const sql::Statement& stmt,
                              const executor::ExecutionMetrics& metrics) {
-  RecordKeyed(sql::NormalizedFingerprint(stmt), sql::NormalizedSql(stmt),
-              metrics);
+  const std::string normalized_sql = sql::NormalizedSql(stmt);
+  RecordKeyed(sql::TextFingerprint(normalized_sql), normalized_sql, metrics);
 }
 
 void WorkloadMonitor::RecordKeyed(

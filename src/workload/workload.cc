@@ -16,7 +16,7 @@ Result<Query> MakeQuery(std::string sql, double weight) {
   q.sql = std::move(sql);
   q.weight = weight;
   q.normalized_sql = sql::NormalizedSql(q.stmt);
-  q.fingerprint = sql::NormalizedFingerprint(q.stmt);
+  q.fingerprint = sql::TextFingerprint(q.normalized_sql);
   return q;
 }
 

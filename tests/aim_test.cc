@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -151,6 +152,30 @@ TEST(AimTest, CloneValidationLeavesProductionUntouched) {
   }
   ASSERT_TRUE(
       ValidateOnClone(db, {c}, selected, optimizer::CostModel(), {}).ok());
+  EXPECT_TRUE(db.catalog().AllIndexes(true, false).empty());
+}
+
+TEST(AimTest, CloneValidationBuildsHypotheticalCandidatesReal) {
+  storage::Database db = MakeUsersDb(1000);
+  workload::Workload w;
+  ASSERT_TRUE(w.Add("SELECT id FROM users WHERE org_id = 5", 10.0).ok());
+  CandidateIndex c;
+  c.def.table = 0;
+  c.def.columns = {1};
+  c.def.hypothetical = true;  // must be built as a real B+Tree on the clone
+  std::vector<SelectedQuery> selected(1);
+  selected[0].query = &w.queries[0];
+  Result<CloneValidationResult> r =
+      ValidateOnClone(db, {c}, selected, optimizer::CostModel(), {});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // The clone's plan used the index and the executor read a real tree:
+  // every replay succeeded and the query got cheaper.
+  ASSERT_EQ(r.ValueOrDie().accepted.size(), 1u);
+  EXPECT_EQ(r.ValueOrDie().failed, 0u);
+  ASSERT_EQ(r.ValueOrDie().per_query.size(), 1u);
+  EXPECT_LT(r.ValueOrDie().per_query[0].cpu_after,
+            r.ValueOrDie().per_query[0].cpu_before);
+  // Production untouched, hypothetical entries included.
   EXPECT_TRUE(db.catalog().AllIndexes(true, false).empty());
 }
 
@@ -402,31 +427,35 @@ TEST(ContinuousTest, CacheInvalidatedWhenStatisticsDrift) {
 }
 
 TEST(ContinuousTest, CacheSnapshotWarmStartsAcrossTunerInstances) {
-  const std::string path =
-      ::testing::TempDir() + "/tuner_whatif_cache.bin";
+  FleetCacheStoreOptions store_options;
+  store_options.snapshot_dir = ::testing::TempDir() + "/tuner_whatif_cache";
+  std::filesystem::create_directories(store_options.snapshot_dir);
   const storage::Database base = MakeUsersDb(3000);
   const workload::Workload w = SimpleWorkload();
   // The actual file is namespaced by the schema/statistics fingerprint
-  // (so fleets of tuners sharing one configured path never collide).
+  // (so fleets of tuners sharing one snapshot dir never collide).
   const std::string real_path = optimizer::SnapshotPathForFingerprint(
-      path, base.catalog().SchemaStatsFingerprint());
+      store_options.snapshot_dir + "/whatif_cache",
+      base.catalog().SchemaStatsFingerprint());
   std::remove(real_path.c_str());
 
-  ContinuousTunerOptions options;
-  options.cache_snapshot_path = path;
   {
     storage::Database db = base;
-    ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+    FleetCacheStore store(store_options);
+    ContinuousTuner tuner(&db, optimizer::CostModel(), {}, &store);
     Result<IntervalReport> r = tuner.Tick(w, nullptr);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     // Nothing to load on the very first interval ever.
     EXPECT_FALSE(r.ValueOrDie().cache_loaded_from_snapshot);
+    // The store's owner persists it.
+    ASSERT_TRUE(store.SaveAll().ok());
   }
   {
     // A brand-new tuner process on the same database state: interval 1
     // starts warm from the snapshot the previous instance saved.
     storage::Database db = base;
-    ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+    FleetCacheStore store(store_options);
+    ContinuousTuner tuner(&db, optimizer::CostModel(), {}, &store);
     Result<IntervalReport> r = tuner.Tick(w, nullptr);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.ValueOrDie().cache_loaded_from_snapshot);
@@ -441,7 +470,8 @@ TEST(ContinuousTest, CacheSnapshotWarmStartsAcrossTunerInstances) {
     out << "not a snapshot";
     out.close();
     storage::Database db = base;
-    ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+    FleetCacheStore store(store_options);
+    ContinuousTuner tuner(&db, optimizer::CostModel(), {}, &store);
     Result<IntervalReport> r = tuner.Tick(w, nullptr);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_FALSE(r.ValueOrDie().cache_loaded_from_snapshot);

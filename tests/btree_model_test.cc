@@ -417,7 +417,7 @@ TEST(BTreeTieOrderTest, EqualKeyRunsLongerThanALeafKeepInsertionOrder) {
   ReferenceIndex ref;
   std::vector<RowId> live;
   for (RowId rid = 0; rid < 2000; ++rid) {
-    const Row key = {rng.Bernoulli(0.5) ? Value::Int(7) : Value::Real(7.0)};
+    const Row key(1, rng.Bernoulli(0.5) ? Value::Int(7) : Value::Real(7.0));
     tree.Insert(EncodeKey(key), rid);
     ref.Insert(key, rid);
     live.push_back(rid);

@@ -11,7 +11,7 @@ TableDef SimpleTable(const std::string& name, int columns) {
   def.name = name;
   for (int i = 0; i < columns; ++i) {
     ColumnDef c;
-    c.name = "c" + std::to_string(i);
+    c.name = 'c' + std::to_string(i);
     c.type = ColumnType::kInt64;
     c.avg_width = 8;
     def.columns.push_back(c);

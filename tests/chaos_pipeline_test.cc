@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -40,7 +41,7 @@ std::multiset<std::string> IndexSignature(const storage::Database& db) {
   for (const catalog::IndexDef* idx : db.catalog().AllIndexes(true, true)) {
     std::string key = std::to_string(idx->table);
     for (catalog::ColumnId c : idx->columns) {
-      key += "," + std::to_string(c);
+      key += ',' + std::to_string(c);
     }
     key += idx->hypothetical ? "|hypo" : "|real";
     sig.insert(std::move(key));
@@ -78,8 +79,7 @@ workload::Workload ChaosWorkload() {
   return w;
 }
 
-ContinuousTunerOptions ChaosTunerOptions(
-    const std::string& snapshot_path = "") {
+ContinuousTunerOptions ChaosTunerOptions() {
   ContinuousTunerOptions options;
   options.drop_after_idle_intervals = 1;  // aggressive GC: exercise drops
   options.shrink_after_idle_intervals = 1;
@@ -88,9 +88,6 @@ ContinuousTunerOptions ChaosTunerOptions(
   // Run the parallel what-if engine so fault schedules also cross the
   // pool's dispatch path (degraded dispatch must not change results).
   options.aim.num_threads = 2;
-  // With a snapshot path the tuner also crosses the cache save/load
-  // path, so schedules can kill `whatif.cache.load` too.
-  options.cache_snapshot_path = snapshot_path;
   return options;
 }
 
@@ -99,16 +96,15 @@ ContinuousTunerOptions ChaosTunerOptions(
 const char* const kFaultPoints[] = {
     "storage.create_index", "storage.build_index_entry",
     "storage.drop_index",   "executor.execute",
-    "shadow.clone",         "shadow.materialize",
-    "core.apply",           "core.tick",
-    "common.pool.dispatch", "workload.replay",
-    "whatif.cache.load",
+    "core.clone",           "core.apply",
+    "core.tick",            "common.pool.dispatch",
+    "workload.replay",      "whatif.cache.load",
 };
 
 /// The additional points the *sharded* pipeline crosses: losing a shard
 /// at validation entry or mid-clone-materialization.
 const char* const kShardFaultPoints[] = {
-    "shard.validate",       "shard.clone.materialize",
+    "shard.validate",       "core.clone",
     "storage.create_index", "storage.build_index_entry",
     "executor.execute",     "common.pool.dispatch",
 };
@@ -153,19 +149,26 @@ TEST(ChaosPipelineTest, NoRegressionGuaranteeUnderRandomFaultSchedules) {
   size_t degraded_intervals = 0;
   size_t clean_intervals = 0;
   size_t intervals_with_changes = 0;
+  uint64_t cache_load_faults = 0;
 
-  // One shared snapshot file across schedules: later seeds start from a
-  // carried cache (valid — same base catalog), earlier seeds cold. A
-  // faulted or truncated load must behave exactly like cold.
-  const std::string snapshot_path =
-      ::testing::TempDir() + "/chaos_whatif_cache.bin";
-  std::remove(snapshot_path.c_str());
+  // One shared snapshot dir across schedules: later seeds start from a
+  // carried cache (valid — same base catalog), earlier seeds cold, so
+  // schedules also cross `whatif.cache.load`. A faulted or truncated load
+  // must behave exactly like cold.
+  FleetCacheStoreOptions store_options;
+  store_options.snapshot_dir = ::testing::TempDir() + "/chaos_whatif_cache";
+  std::filesystem::create_directories(store_options.snapshot_dir);
+  std::remove(optimizer::SnapshotPathForFingerprint(
+                  store_options.snapshot_dir + "/whatif_cache",
+                  base.catalog().SchemaStatsFingerprint())
+                  .c_str());
 
   for (uint64_t seed = 1; seed <= kSchedules; ++seed) {
     Rng rng(seed);
     storage::Database db = base;
-    ContinuousTuner tuner(&db, optimizer::CostModel(),
-                          ChaosTunerOptions(snapshot_path));
+    FleetCacheStore store(store_options);
+    ContinuousTuner tuner(&db, optimizer::CostModel(), ChaosTunerOptions(),
+                          &store);
     const std::string schedule = ArmRandomSchedule(&rng, seed, kFaultPoints);
 
     for (int tick = 0; tick < kTicksPerSchedule; ++tick) {
@@ -189,6 +192,8 @@ TEST(ChaosPipelineTest, NoRegressionGuaranteeUnderRandomFaultSchedules) {
       } else {
         ++clean_intervals;
         EXPECT_TRUE(report.error.ok());
+        // The store's owner persists it after every clean interval.
+        EXPECT_TRUE(store.SaveAll().ok());
         if (!report.aim.recommended.empty() || !report.dropped.empty() ||
             !report.shrunk.empty()) {
           ++intervals_with_changes;
@@ -196,11 +201,14 @@ TEST(ChaosPipelineTest, NoRegressionGuaranteeUnderRandomFaultSchedules) {
       }
       ExpectWellFormed(db, seed);
     }
+    cache_load_faults +=
+        FaultRegistry::Instance().stats("whatif.cache.load").triggers;
     FaultRegistry::Instance().DisarmAll();
   }
 
   // The schedules must actually exercise both sides of the guarantee:
   // plenty of injected failures AND plenty of surviving intervals.
+  EXPECT_GT(cache_load_faults, 0u);
   EXPECT_GT(degraded_intervals, 50u);
   EXPECT_GT(clean_intervals, 50u);
   EXPECT_GT(intervals_with_changes, 10u);
@@ -378,7 +386,7 @@ TEST(ShardedChaosTest, ShardLostAtValidationEntryDegradesNotFails) {
 }
 
 TEST(ShardedChaosTest, ShardLostMidMaterializationDegradesNotFails) {
-  ExpectOneLostShardDegrades("shard.clone.materialize");
+  ExpectOneLostShardDegrades("core.clone");
 }
 
 TEST(ShardedChaosTest, ReplayDeathOnClonesRejectsWholesaleNotDegraded) {

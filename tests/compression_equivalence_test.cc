@@ -491,8 +491,9 @@ TEST(IncrementalCandgenTest, SecondRunServedEntirelyFromCache) {
 
   core::CandidateCache cache(1024);
   core::AimOptions o = BaseOptions(/*compress=*/true, /*threads=*/2, 4096);
-  o.candidate_cache = &cache;
-  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), o);
+  core::TuningResources resources;
+  resources.candidate_cache = &cache;
+  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), o, resources);
 
   const core::AimReport first = MustRecommend(&aim, w);
   ASSERT_GT(first.stats.candgen_clusters_total, 0u);
@@ -527,9 +528,10 @@ TEST(IncrementalCandgenTest, OnlyDriftedClustersRecompute) {
   // context fingerprint — correct (phase 2's input changed) but noisy for
   // exact per-cluster counting. One pass makes the arithmetic exact.
   core::AimOptions o = BaseOptions(/*compress=*/true, /*threads=*/1, 4096);
-  o.candidate_cache = &cache;
   o.two_phase = false;
-  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), o);
+  core::TuningResources resources;
+  resources.candidate_cache = &cache;
+  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), o, resources);
 
   const core::AimReport first = MustRecommend(&aim, w);
   EXPECT_EQ(first.stats.candgen_clusters_total, 3u);
@@ -556,9 +558,7 @@ TEST(IncrementalCandgenTest, OnlyDriftedClustersRecompute) {
   // same selection a cold cache would produce.
   const core::AimReport resumed = MustRecommend(&aim, w);
   EXPECT_EQ(resumed.stats.candgen_clusters_reused, 4u);
-  core::AimOptions cold = o;
-  cold.candidate_cache = nullptr;
-  core::AutomaticIndexManager cold_aim(&db, optimizer::CostModel(), cold);
+  core::AutomaticIndexManager cold_aim(&db, optimizer::CostModel(), o);
   EXPECT_EQ(IndexSetSignature(MustRecommend(&cold_aim, w).recommended),
             IndexSetSignature(resumed.recommended));
 }

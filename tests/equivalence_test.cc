@@ -239,9 +239,11 @@ TEST(EquivalenceTest, ExplorationAndOrderedDeployBitIdentical) {
     core::AimOptions options;
     options.num_threads = threads;
     options.what_if_cache_entries = cache_entries;
-    options.exploration_gate = &gate;
     options.deployment.ordered = true;
-    core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
+    core::TuningResources resources;
+    resources.exploration_gate = &gate;
+    core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options,
+                                    resources);
     Result<core::AimReport> r = aim.RunOnce(w, nullptr);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) return std::string();

@@ -225,7 +225,7 @@ std::multiset<std::string> IndexSignature(const storage::Database& db) {
   for (const catalog::IndexDef* idx : db.catalog().AllIndexes(true, true)) {
     std::string key = std::to_string(idx->table);
     for (catalog::ColumnId c : idx->columns) {
-      key += "," + std::to_string(c);
+      key += ',' + std::to_string(c);
     }
     key += idx->hypothetical ? "|hypo" : "|real";
     sig.insert(std::move(key));

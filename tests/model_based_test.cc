@@ -49,8 +49,8 @@ TEST_P(DmlStormTest, IndexesMirrorHeapAfterRandomOps) {
       row[2] = Value::Int(static_cast<int64_t>(rng.Uniform(5)));
       row[3] = Value::Int(static_cast<int64_t>(rng.Uniform(1000)));
       row[4] = Value::Int(static_cast<int64_t>(rng.Uniform(100000)));
-      row[5] = Value::Str("u" + std::to_string(op));
-      row[6] = Value::Str("p" + std::to_string(op));
+      row[5] = Value::Str('u' + std::to_string(op));
+      row[6] = Value::Str('p' + std::to_string(op));
       ASSERT_TRUE(db.InsertRow(0, std::move(row)).ok());
     } else if (r < 0.75) {
       // Update a random live row's indexed columns.

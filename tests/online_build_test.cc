@@ -532,7 +532,7 @@ TEST_F(OnlineBuildTest, QuiescedKillSchedules) {
 
     catalog::IndexDef def;
     def.table = 0;
-    def.columns = {static_cast<catalog::ColumnId>(1 + s % 4)};
+    def.columns.push_back(static_cast<catalog::ColumnId>(1 + s % 4));
     OnlineBuildOptions options;
     options.snapshot_chunk_rows = 64;
     OnlineIndexBuilder builder(&db, options);
@@ -708,8 +708,8 @@ TEST_F(OnlineTunerTest, TunerInstallsUnderLiveTraffic) {
   core::ContinuousTunerOptions options;
   options.online_apply = true;
   options.aim.validate_on_clone = false;
-  options.online.snapshot_chunk_rows = 32;
-  options.online.max_catchup_rounds = 512;
+  options.aim.online.snapshot_chunk_rows = 32;
+  options.aim.online.max_catchup_rounds = 512;
   core::ContinuousTuner tuner(&tpcc.db(), optimizer::CostModel(), options);
   Result<core::IntervalReport> r = tuner.Tick(w.ValueOrDie(), nullptr);
 

@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
-#include "support/myshadow.h"
 #include "support/regression_detector.h"
 #include "support/stats_exporter.h"
-#include "tests/test_util.h"
 
 namespace aim::support {
 namespace {
-
-using aim::testing::MakeUsersDb;
 
 TEST(StatsExporterTest, AggregatesAcrossReplicas) {
   workload::WorkloadMonitor m0, m1, m2;
@@ -98,57 +94,6 @@ TEST(StatsExporterTest, FailedExportDoesNotAdvanceInterval) {
   ASSERT_NE(exporter.aggregate().Find(7), nullptr);
   EXPECT_EQ(exporter.aggregate().Find(7)->executions, 1u);
   EXPECT_EQ(replica.distinct_queries(), 0u);  // reset only after success
-}
-
-TEST(MyShadowTest, FullCloneReplays) {
-  storage::Database db = MakeUsersDb(1000);
-  MyShadow shadow(db);
-  EXPECT_EQ(shadow.db().heap(0).live_count(), 1000u);
-  workload::Workload w;
-  ASSERT_TRUE(w.Add("SELECT id FROM users WHERE org_id = 5").ok());
-  Result<ShadowReplayResult> rr =
-      shadow.Replay(w, optimizer::CostModel(), /*repetitions=*/3);
-  ASSERT_TRUE(rr.ok());
-  const ShadowReplayResult& r = rr.ValueOrDie();
-  EXPECT_EQ(r.executed, 3u);
-  EXPECT_EQ(r.failed, 0u);
-  EXPECT_GT(r.total_cpu_seconds, 0.0);
-  EXPECT_EQ(r.monitor.Find(w.queries[0].fingerprint)->executions, 3u);
-}
-
-TEST(MyShadowTest, SampledCloneIsSmaller) {
-  storage::Database db = MakeUsersDb(2000);
-  MyShadow shadow(db, /*sample_fraction=*/0.25);
-  const uint64_t sampled = shadow.db().heap(0).live_count();
-  EXPECT_LT(sampled, 1000u);
-  EXPECT_GT(sampled, 100u);
-  // Statistics re-analyzed for the sample.
-  EXPECT_EQ(shadow.db().catalog().table(0).stats.row_count, sampled);
-}
-
-TEST(MyShadowTest, SampledCloneCopiesIndexes) {
-  storage::Database db = MakeUsersDb(500);
-  catalog::IndexDef def;
-  def.table = 0;
-  def.columns = {1};
-  ASSERT_TRUE(db.CreateIndex(def).ok());
-  MyShadow shadow(db, 0.5);
-  EXPECT_EQ(shadow.db().catalog().AllIndexes(false, false).size(), 1u);
-}
-
-TEST(MyShadowTest, MaterializeBuildsRealIndexes) {
-  storage::Database db = MakeUsersDb(500);
-  MyShadow shadow(db);
-  catalog::IndexDef def;
-  def.table = 0;
-  def.columns = {2};
-  def.hypothetical = true;  // must be forced real on the shadow
-  ASSERT_TRUE(shadow.Materialize({def}).ok());
-  const auto indexes = shadow.db().catalog().AllIndexes(false, false);
-  ASSERT_EQ(indexes.size(), 1u);
-  EXPECT_NE(shadow.db().btree(indexes[0]->id), nullptr);
-  // Production untouched.
-  EXPECT_TRUE(db.catalog().AllIndexes(true, false).empty());
 }
 
 TEST(RegressionDetectorTest, FlagsCpuSpike) {
