@@ -90,6 +90,7 @@ void BenchParallelEngine(const storage::Database& db,
     o.Add("selection_seconds", st.selection_seconds)
         .Add("candgen_seconds", st.candgen_seconds)
         .Add("ranking_seconds", st.ranking_seconds)
+        .Add("merge_seconds", st.merge_seconds)
         .Add("validation_seconds", st.validation_seconds)
         .Add("apply_seconds", st.apply_seconds)
         .Add("runtime_seconds", st.runtime_seconds)

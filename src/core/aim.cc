@@ -259,10 +259,11 @@ Result<AimReport> AutomaticIndexManager::Recommend(
     // Merge partial orders to a fixpoint (line 6 of Algorithm 2).
     std::vector<PartialOrder> merged;
     {
-      obs::Span merge_span(obs::Tracer::Get(), "aim.merge");
+      obs::PhaseTimer merge_timer("aim.merge", &report.stats.merge_seconds);
       merged = MergePartialOrders(std::move(orders), options_.merge);
       report.stats.partial_orders_after_merge = merged.size();
-      merge_span.SetAttr("partial_orders_after_merge", merged.size());
+      merge_timer.span()->SetAttr("partial_orders_after_merge",
+                                  merged.size());
     }
 
     // One concrete index per final partial order (line 7), minus indexes
@@ -341,6 +342,9 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
   obs::Span run_span(obs::Tracer::Get(), "aim.run_once");
   AIM_ASSIGN_OR_RETURN(AimReport report, Recommend(workload, monitor));
   const auto t0 = std::chrono::steady_clock::now();
+  // The test clone's trees for the accepted indexes, kept out of the
+  // report: apply adopts them, and nothing else reads them.
+  std::vector<ValidatedTree> trees;
 
   {
     obs::PhaseTimer timer("aim.validation",
@@ -359,6 +363,7 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
           ValidateOnClone(*db_, report.recommended,
                           report.selected_workload, cm_,
                           validation_opts, EnsurePool()));
+      trees.swap(report.validation.trees);
       report.stats.indexes_rejected_by_validation =
           report.recommended.size() - report.validation.accepted.size();
       report.recommended = report.validation.accepted;
@@ -416,7 +421,9 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     // fully-validated new one. With an online-apply target, the target
     // (not the tuning database) receives the indexes via side-build +
     // delta catch-up + bounded-stall swap, and the rollback is
-    // latch-aware so it is safe under live traffic.
+    // latch-aware so it is safe under live traffic. Otherwise an index
+    // whose test-clone tree was built from the heap production still holds
+    // (equal heap stamps) adopts that tree instead of building it again.
     AIM_FAULT_POINT("core.apply");
     const bool online = resources_.online_apply_db != nullptr;
     storage::Database* target = online ? resources_.online_apply_db : db_;
@@ -444,11 +451,22 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
         }
         continue;
       }
-      Result<catalog::IndexId> id =
-          retry.Run([&] { return txn.CreateIndex(def); });
+      auto tree = std::find_if(
+          trees.begin(), trees.end(), [&](const ValidatedTree& t) {
+            return t.table == def.table && t.columns == def.columns &&
+                   t.heap_stamp == db_->heap(def.table).stamp();
+          });
+      Result<catalog::IndexId> id = retry.Run([&] {
+        return tree != trees.end() ? txn.AdoptIndex(def, &tree->tree)
+                                   : txn.CreateIndex(def);
+      });
       if (!id.ok() &&
           id.status().code() != Status::Code::kAlreadyExists) {
         return id.status();  // txn destructor rolls back prior creates
+      }
+      if (tree != trees.end()) {
+        if (id.ok()) ++report.stats.indexes_adopted;
+        trees.erase(tree);
       }
     }
     txn.Commit();

@@ -106,6 +106,9 @@ struct AimRunStats {
   size_t candidates_evaluated = 0;
   size_t indexes_recommended = 0;
   size_t indexes_rejected_by_validation = 0;
+  /// Applied indexes installed by adopting the test clone's B+Tree instead
+  /// of building them again (classic apply with clone validation).
+  size_t indexes_adopted = 0;
   /// Plan-cost cache activity attributable to this run (zeros when
   /// disabled). With a shared cache these are deltas against the counters
   /// at run start, so carried-over caches don't double-count prior runs.
@@ -123,6 +126,9 @@ struct AimRunStats {
   double selection_seconds = 0.0;
   double candgen_seconds = 0.0;
   double ranking_seconds = 0.0;
+  /// The partial-order merge to a fixpoint (Algorithm 2 line 6), inside
+  /// ranking_seconds.
+  double merge_seconds = 0.0;
   double validation_seconds = 0.0;
   double apply_seconds = 0.0;
   /// Sharded-run extras (zero outside ShardedIndexManager): wall time of

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/retry.h"
 #include "executor/executor.h"
+#include "obs/trace.h"
 
 namespace aim::core {
 
@@ -24,8 +25,87 @@ Result<CloneValidationResult> ValidateOnClone(
   // `core.clone` fault — fails this validation, which the sharding layer
   // reads as "this shard vetoes", not as a crashed run.
   AIM_FAULT_POINT("core.clone");
-  storage::Database control = production;
+
+  // Replay segments. Runs of consecutive SELECTs are read-only and fan out
+  // over the pool; each DML statement is a barrier executed serially at
+  // its workload position so every later query sees the same clone state
+  // as in a serial replay. Within one SELECT run the clone state is fixed
+  // and the executor is deterministic, so duplicates of a statement may
+  // share one execution (`dedup_replay`); each query still gets its own
+  // outcome slot. Owners are discovered in query order, keeping the owner
+  // set (and thus all results) independent of thread count.
+  struct Segment {
+    size_t begin = 0;
+    size_t end = 0;
+    std::vector<size_t> owners;
+  };
+  std::vector<Segment> segments;
+  std::vector<size_t> owner_of(queries.size());
+  for (size_t qi = 0; qi < queries.size();) {
+    Segment seg;
+    seg.begin = qi;
+    seg.end = qi + 1;
+    if (!queries[qi].query->stmt.is_dml()) {
+      while (seg.end < queries.size() &&
+             !queries[seg.end].query->stmt.is_dml()) {
+        ++seg.end;
+      }
+    }
+    std::unordered_map<uint64_t, size_t> first_by_fingerprint;
+    for (size_t k = seg.begin; k < seg.end; ++k) {
+      if (options.dedup_replay) {
+        const uint64_t fp =
+            optimizer::FingerprintStatement(queries[k].query->stmt);
+        auto [it, inserted] = first_by_fingerprint.emplace(fp, k);
+        owner_of[k] = it->second;
+        if (inserted) seg.owners.push_back(k);
+      } else {
+        owner_of[k] = k;
+        seg.owners.push_back(k);
+      }
+    }
+    qi = seg.end;
+    segments.push_back(std::move(seg));
+  }
+
+  // Each clone replays the whole workload on its own; outcomes land in
+  // per-query slots and the evidence below is accumulated serially in
+  // workload order — bit-identical to the serial path.
+  executor::ExecutorOptions exec_options;
+  exec_options.engine = options.replay_engine;
+  using Outcome = Result<executor::ExecutionMetrics>;
+  auto replay = [&](storage::Database* db, const char* phase) {
+    obs::PhaseTimer timer(phase);
+    executor::Executor exec(db, cm, exec_options);
+    std::vector<Outcome> out(queries.size(),
+                             Outcome(Status::Internal("not replayed")));
+    for (const Segment& seg : segments) {
+      common::ParallelFor(pool, seg.owners.size(), [&](size_t j) {
+        const size_t qi = seg.owners[j];
+        Result<executor::ExecuteResult> r =
+            exec.Execute(queries[qi].query->stmt);
+        out[qi] = r.ok() ? Outcome(std::move(r.ValueOrDie().metrics))
+                         : Outcome(r.status());
+      });
+      for (size_t k = seg.begin; k < seg.end; ++k) {
+        if (owner_of[k] != k) out[k] = out[owner_of[k]];
+      }
+    }
+    return out;
+  };
+  // The control clone lives only for its own replay, so the two clones
+  // never coexist.
+  std::vector<Outcome> before;
+  {
+    obs::PhaseTimer clone_timer("validation.clone");
+    storage::Database control = production;
+    clone_timer.Stop();
+    before = replay(&control, "validation.control_replay");
+  }
+  obs::PhaseTimer clone_timer("validation.clone");
   storage::Database test = production;
+  clone_timer.Stop();
+  obs::PhaseTimer build_timer("validation.build");
   std::vector<catalog::IndexDef> defs;
   defs.reserve(selected.size());
   for (const CandidateIndex& c : selected) {
@@ -58,97 +138,31 @@ Result<CloneValidationResult> ValidateOnClone(
     }
     created.push_back(id.ValueOrDie());
   }
-
-  executor::ExecutorOptions exec_options;
-  exec_options.engine = options.replay_engine;
-  executor::Executor control_exec(&control, cm, exec_options);
-  executor::Executor test_exec(&test, cm, exec_options);
-
-  // Replay both clones. Runs of consecutive SELECTs are read-only on both
-  // databases and fan out over the pool; each DML statement is a barrier
-  // executed serially at its workload position so every later query sees
-  // the same clone state as in a serial replay. Outcomes land in
-  // per-query slots and the evidence below is accumulated serially in
-  // workload order — bit-identical to the serial path.
-  struct ReplayOutcome {
-    bool ok = false;
-    Status error;
-    executor::ExecuteResult before;
-    executor::ExecuteResult after;
-  };
-  std::vector<ReplayOutcome> outcomes(queries.size());
-  auto run_query = [&](size_t qi) {
-    ReplayOutcome& out = outcomes[qi];
-    Result<executor::ExecuteResult> before =
-        control_exec.Execute(queries[qi].query->stmt);
-    Result<executor::ExecuteResult> after =
-        test_exec.Execute(queries[qi].query->stmt);
-    if (!before.ok() || !after.ok()) {
-      out.error = before.ok() ? after.status() : before.status();
-      return;
-    }
-    out.ok = true;
-    out.before = before.MoveValue();
-    out.after = after.MoveValue();
-  };
-  for (size_t qi = 0; qi < queries.size();) {
-    if (queries[qi].query->stmt.is_dml()) {
-      run_query(qi);
-      ++qi;
-      continue;
-    }
-    size_t end = qi;
-    while (end < queries.size() && !queries[end].query->stmt.is_dml()) {
-      ++end;
-    }
-    // Within one segment the clone state is fixed and the executor is
-    // deterministic, so duplicates of a statement may share one
-    // execution (`dedup_replay`); each query still gets its own outcome
-    // slot. Owners are discovered in query order, keeping the owner set
-    // (and thus all results) independent of thread count.
-    std::vector<size_t> owners;
-    std::vector<size_t> owner_of(end - qi);
-    std::unordered_map<uint64_t, size_t> first_by_fingerprint;
-    for (size_t k = qi; k < end; ++k) {
-      if (options.dedup_replay) {
-        const uint64_t fp =
-            optimizer::FingerprintStatement(queries[k].query->stmt);
-        auto [it, inserted] = first_by_fingerprint.emplace(fp, k);
-        owner_of[k - qi] = it->second;
-        if (inserted) owners.push_back(k);
-      } else {
-        owner_of[k - qi] = k;
-        owners.push_back(k);
-      }
-    }
-    common::ParallelFor(pool, owners.size(),
-                        [&](size_t j) { run_query(owners[j]); });
-    for (size_t k = qi; k < end; ++k) {
-      const size_t owner = owner_of[k - qi];
-      if (owner != k) outcomes[k] = outcomes[owner];
-    }
-    qi = end;
-  }
+  build_timer.Stop();
+  const std::vector<Outcome> after = replay(&test, "validation.test_replay");
 
   std::set<catalog::IndexId> used;
   bool improved = false;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const SelectedQuery& sq = queries[qi];
-    const ReplayOutcome& out = outcomes[qi];
-    if (!out.ok) {
+    if (!before[qi].ok() || !after[qi].ok()) {
       ++result.failed;
       AIM_LOG(Warn) << "validation replay failed: "
-                    << out.error.ToString();
+                    << (before[qi].ok() ? after[qi] : before[qi])
+                           .status()
+                           .ToString();
       continue;
     }
+    const executor::ExecutionMetrics& before_metrics = before[qi].ValueOrDie();
+    const executor::ExecutionMetrics& after_metrics = after[qi].ValueOrDie();
     ++result.executed;
-    for (catalog::IndexId id : out.after.metrics.used_indexes) {
+    for (catalog::IndexId id : after_metrics.used_indexes) {
       used.insert(id);
     }
     QueryValidation v;
     v.fingerprint = sq.query->fingerprint;
-    v.cpu_before = out.before.metrics.cpu_seconds;
-    v.cpu_after = out.after.metrics.cpu_seconds;
+    v.cpu_before = before_metrics.cpu_seconds;
+    v.cpu_after = after_metrics.cpu_seconds;
     v.improved =
         v.cpu_after <= (1.0 - options.lambda2) * v.cpu_before &&
         v.cpu_before > 0;
@@ -182,11 +196,21 @@ Result<CloneValidationResult> ValidateOnClone(
         i < created.size() ? created[i] : catalog::kInvalidIndex;
     const bool index_used =
         id != catalog::kInvalidIndex && used.count(id) > 0;
-    if (index_used || !options.drop_unused) {
-      result.accepted.push_back(selected[i]);
-    } else {
+    if (!index_used && options.drop_unused) {
       result.rejected_unused.push_back(selected[i]);
+      continue;
     }
+    result.accepted.push_back(selected[i]);
+    if (id == catalog::kInvalidIndex) continue;
+    const catalog::TableId table = selected[i].def.table;
+    Result<storage::BTreeIndex> tree = test.ReleaseIndex(id);
+    if (!tree.ok()) continue;
+    ValidatedTree vt;
+    vt.table = table;
+    vt.columns = selected[i].def.columns;
+    vt.heap_stamp = test.heap(table).stamp();
+    vt.tree = tree.MoveValue();
+    result.trees.push_back(std::move(vt));
   }
   return result;
 }

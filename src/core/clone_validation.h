@@ -51,9 +51,25 @@ struct QueryValidation {
   bool improved = false;
 };
 
+/// The test clone's B+Tree for one accepted index, with the stamp its
+/// table's heap carried when the replay ended. Production adopts the tree
+/// instead of building the index again when its own heap still carries
+/// that stamp (storage::HeapTable::stamp): the clone was a copy of
+/// production, so equal stamps mean equal rows under equal row ids.
+struct ValidatedTree {
+  catalog::TableId table = catalog::kInvalidTable;
+  std::vector<catalog::ColumnId> columns;
+  uint64_t heap_stamp = 0;
+  storage::BTreeIndex tree;
+};
+
 /// Outcome of materialize-and-replay validation.
 struct CloneValidationResult {
   std::vector<CandidateIndex> accepted;
+  /// One tree per accepted index the test clone materialized, in accepted
+  /// order. Large: callers move them out (RunOnce's apply adopts them) or
+  /// clear them rather than copy the result around.
+  std::vector<ValidatedTree> trees;
   std::vector<CandidateIndex> rejected_unused;
   /// True when Eq. 3 holds (some query improved by ≥ λ₂).
   bool any_query_improved = false;
@@ -90,7 +106,16 @@ struct CloneValidationResult {
 /// never mutates the clone), every DML statement is a barrier executed
 /// serially at its workload position, and the before/after evidence is
 /// always accumulated serially in workload order. The result is therefore
-/// bit-identical to the serial replay (`pool == nullptr`).
+/// bit-identical to the serial replay (`pool == nullptr`). The control
+/// clone is copied and replays the whole workload, and is destroyed before
+/// the test clone is copied, so the two copies never coexist; each sees
+/// the same statement sequence as in an interleaved replay. Each step is a
+/// PhaseTimer: `validation.clone` (once per clone),
+/// `validation.control_replay`, `validation.build`, `validation.test_replay`.
+///
+/// The accepted indexes' trees leave with the result (`trees`), together
+/// with the test clone's heap stamps, so that production can adopt rather
+/// than rebuild them.
 Result<CloneValidationResult> ValidateOnClone(
     const storage::Database& production,
     const std::vector<CandidateIndex>& selected,

@@ -141,6 +141,7 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
                     << sv.error.ToString();
     } else {
       CloneValidationResult vr = outcomes[si].MoveValue();
+      vr.trees.clear();  // shard clones' trees: the shard apply builds
       for (const CandidateIndex& c : vr.accepted) {
         used_somewhere.insert(Key(c.def));
       }

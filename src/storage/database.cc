@@ -153,6 +153,17 @@ Status Database::DropIndex(catalog::IndexId id) {
   return Status::OK();
 }
 
+Result<BTreeIndex> Database::ReleaseIndex(catalog::IndexId id) {
+  auto it = btrees_.find(id);
+  if (it == btrees_.end()) {
+    return Status::NotFound("release of an unmaterialized index");
+  }
+  AIM_RETURN_NOT_OK(catalog_.DropIndex(id));
+  BTreeIndex tree = std::move(it->second);
+  btrees_.erase(it);
+  return tree;
+}
+
 const BTreeIndex* Database::btree(catalog::IndexId id) const {
   auto it = btrees_.find(id);
   return it == btrees_.end() ? nullptr : &it->second;

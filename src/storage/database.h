@@ -90,6 +90,12 @@ class Database {
 
   Status DropIndex(catalog::IndexId id);
 
+  /// Unregisters a real index and hands back its B+Tree, for AdoptIndex
+  /// into a database whose heap carries the same stamp (clone validation
+  /// returns the test clone's trees this way). Crosses no fault point:
+  /// the source is a private copy, not a production configuration.
+  Result<BTreeIndex> ReleaseIndex(catalog::IndexId id);
+
   /// The materialized B+Tree for a real index; nullptr for hypothetical or
   /// unknown ids.
   const BTreeIndex* btree(catalog::IndexId id) const;

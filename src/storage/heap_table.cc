@@ -1,11 +1,24 @@
 #include "storage/heap_table.h"
 
+#include <atomic>
+
 namespace aim::storage {
+
+namespace {
+
+/// A process-wide fresh mutation stamp (never 0).
+uint64_t NextStamp() {
+  static std::atomic<uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 RowId HeapTable::Insert(Row row) {
   rows_.push_back(std::move(row));
   deleted_.push_back(false);
   ++live_count_;
+  stamp_ = NextStamp();
   return rows_.size() - 1;
 }
 
@@ -14,6 +27,7 @@ Status HeapTable::Update(RowId rid, Row row) {
     return Status::NotFound("update of dead row " + std::to_string(rid));
   }
   rows_[rid] = std::move(row);
+  stamp_ = NextStamp();
   return Status::OK();
 }
 
@@ -23,6 +37,7 @@ Status HeapTable::Delete(RowId rid) {
   }
   deleted_[rid] = true;
   --live_count_;
+  stamp_ = NextStamp();
   return Status::OK();
 }
 

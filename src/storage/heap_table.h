@@ -1,6 +1,7 @@
 #ifndef AIM_STORAGE_HEAP_TABLE_H_
 #define AIM_STORAGE_HEAP_TABLE_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -13,6 +14,12 @@ namespace aim::storage {
 ///
 /// Row ids are stable (slot positions); deleted slots are tombstoned so the
 /// secondary indexes' RowId references never dangle.
+///
+/// Every Insert, Update and Delete sets the heap's mutation stamp to a
+/// fresh process-wide value, and a copy keeps the stamp of its source. Two
+/// heaps with equal stamps therefore hold the same rows under the same row
+/// ids: one is an unmutated copy of the other (or both are new and empty),
+/// so an index built on either is valid on both.
 class HeapTable {
  public:
   /// Appends a row; returns its RowId.
@@ -28,6 +35,9 @@ class HeapTable {
     return rid < rows_.size() && !deleted_[rid];
   }
   const Row& row(RowId rid) const { return rows_[rid]; }
+
+  /// The mutation stamp (0 until the first mutation).
+  uint64_t stamp() const { return stamp_; }
 
   /// Number of live rows.
   uint64_t live_count() const { return live_count_; }
@@ -54,6 +64,7 @@ class HeapTable {
   std::vector<Row> rows_;
   std::vector<bool> deleted_;
   uint64_t live_count_ = 0;
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace aim::storage

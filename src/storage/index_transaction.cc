@@ -36,6 +36,16 @@ Result<catalog::IndexId> IndexSetTransaction::CreateIndex(
   return id;
 }
 
+Result<catalog::IndexId> IndexSetTransaction::AdoptIndex(
+    catalog::IndexDef def, BTreeIndex* built) {
+  MaybeLock lock(latch_);
+  AIM_FAULT_POINT("storage.create_index");
+  Result<catalog::IndexId> id =
+      db_->AdoptIndex(std::move(def), std::move(*built));
+  if (id.ok()) RecordCreated(id.ValueOrDie());
+  return id;
+}
+
 void IndexSetTransaction::RecordCreated(catalog::IndexId id) {
   Op op;
   op.was_create = true;

@@ -44,6 +44,14 @@ class IndexSetTransaction {
   /// dropped again.
   Result<catalog::IndexId> CreateIndex(catalog::IndexDef def);
 
+  /// Installs an index whose B+Tree was built on a copy of this database
+  /// (Database::AdoptIndex) through the transaction; on later rollback it
+  /// is dropped again. Crosses the `storage.create_index` fault point
+  /// first, like CreateIndex, and takes `*built` only past it, so a
+  /// retried adoption still has its tree.
+  Result<catalog::IndexId> AdoptIndex(catalog::IndexDef def,
+                                      BTreeIndex* built);
+
   /// Drops an index through the transaction; on later rollback it is
   /// re-created (re-materialized) from its saved definition.
   Status DropIndex(catalog::IndexId id);

@@ -3,8 +3,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "common/fault_injection.h"
 #include "core/aim.h"
 #include "core/continuous.h"
 #include "executor/executor.h"
@@ -177,6 +180,169 @@ TEST(AimTest, CloneValidationBuildsHypotheticalCandidatesReal) {
             r.ValueOrDie().per_query[0].cpu_before);
   // Production untouched, hypothetical entries included.
   EXPECT_TRUE(db.catalog().AllIndexes(true, false).empty());
+}
+
+// ---------- Build-once apply ------------------------------------------------
+
+/// The row ids of an index in its scan order (key order, ties in
+/// insertion order); with the heap they determine every entry's key.
+std::vector<storage::RowId> EntryOrder(const storage::BTreeIndex& tree) {
+  std::vector<storage::RowId> rids;
+  tree.ScanAll([&](storage::RowId rid) {
+    rids.push_back(rid);
+    return true;
+  });
+  return rids;
+}
+
+/// Every automation index of `db` against a fresh build of the same
+/// definition on `reference` (a database with the same heaps): same
+/// entries, keys and tie order.
+void ExpectAutomationIndexesMatchFreshBuilds(const storage::Database& db,
+                                             storage::Database reference) {
+  size_t compared = 0;
+  for (const catalog::IndexDef* idx : db.catalog().AllIndexes(false, false)) {
+    if (!idx->created_by_automation) continue;
+    catalog::IndexDef def = *idx;
+    def.id = catalog::kInvalidIndex;
+    def.name.clear();
+    if (const catalog::IndexDef* old =
+            reference.catalog().FindIndex(def.table, def.columns)) {
+      ASSERT_TRUE(reference.DropIndex(old->id).ok());
+    }
+    Result<catalog::IndexId> fresh = reference.CreateIndex(def);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    const storage::BTreeIndex* tree = db.btree(idx->id);
+    const storage::BTreeIndex* expected = reference.btree(fresh.ValueOrDie());
+    ASSERT_NE(tree, nullptr);
+    ASSERT_NE(expected, nullptr);
+    EXPECT_EQ(tree->entry_count(), expected->entry_count());
+    EXPECT_EQ(tree->entry_count(), db.heap(idx->table).live_count());
+    const std::vector<storage::RowId> rids = EntryOrder(*tree);
+    ASSERT_EQ(rids, EntryOrder(*expected)) << db.catalog().DescribeIndex(*idx);
+    // The keys stored in the tree are the live rows' keys: a prefix scan
+    // on each row's own key finds that row.
+    for (storage::RowId rid : rids) {
+      ASSERT_TRUE(db.heap(idx->table).IsLive(rid));
+      const std::string key =
+          db.MakeIndexKey(*idx, db.heap(idx->table).row(rid));
+      bool found = false;
+      tree->ScanPrefix(key, std::nullopt, std::nullopt,
+                       [&](storage::RowId r) {
+                         found = found || r == rid;
+                         return !found;
+                       });
+      ASSERT_TRUE(found) << "rid " << rid;
+    }
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(BuildOnceApplyTest, AdoptedTreesEqualFreshBuilds) {
+  FaultRegistry::Instance().DisarmAll();
+  storage::Database db = MakeUsersDb(3000);
+  const storage::Database untouched = db;
+  AutomaticIndexManager aim(&db, optimizer::CostModel(), AimOptions{});
+  Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const AimReport& report = r.ValueOrDie();
+  ASSERT_FALSE(report.recommended.empty());
+  // A read-only workload leaves the test clone's heaps as production's:
+  // every applied index is the clone's tree, none is built twice.
+  EXPECT_EQ(report.stats.indexes_adopted, report.recommended.size());
+  EXPECT_TRUE(report.validation.trees.empty());  // moved into production
+  ExpectAutomationIndexesMatchFreshBuilds(db, untouched);
+}
+
+TEST(BuildOnceApplyTest, DmlOnIndexedTableFallsBackToBuild) {
+  FaultRegistry::Instance().DisarmAll();
+  storage::Database db = MakeUsersDb(3000);
+  const storage::Database untouched = db;
+  workload::Workload w = SimpleWorkload();
+  ASSERT_TRUE(
+      w.Add("UPDATE users SET org_id = 7 WHERE id = 10", 1.0).ok());
+  AutomaticIndexManager aim(&db, optimizer::CostModel(), AimOptions{});
+  Result<AimReport> r = aim.RunOnce(w, nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const AimReport& report = r.ValueOrDie();
+  ASSERT_FALSE(report.recommended.empty());
+  // The replayed UPDATE changed the test clone's users heap, so its trees
+  // no longer describe production's rows: every index is built afresh.
+  EXPECT_EQ(report.stats.indexes_adopted, 0u);
+  // Production itself was not updated (the replay ran on the clones).
+  EXPECT_EQ(db.heap(0).stamp(), untouched.heap(0).stamp());
+  ExpectAutomationIndexesMatchFreshBuilds(db, untouched);
+}
+
+TEST(BuildOnceApplyTest, OnlineApplyTargetBuildsOnline) {
+  FaultRegistry::Instance().DisarmAll();
+  storage::Database snapshot = MakeUsersDb(3000);
+  storage::Database live = snapshot;
+  TuningResources resources;
+  resources.online_apply_db = &live;
+  AutomaticIndexManager aim(&snapshot, optimizer::CostModel(), AimOptions{},
+                            resources);
+  Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const AimReport& report = r.ValueOrDie();
+  ASSERT_FALSE(report.recommended.empty());
+  EXPECT_EQ(report.stats.online_builds, report.recommended.size());
+  EXPECT_EQ(report.stats.indexes_adopted, 0u);
+  EXPECT_TRUE(snapshot.catalog().AllIndexes(false, false).empty());
+  ExpectAutomationIndexesMatchFreshBuilds(live, snapshot);
+}
+
+TEST(BuildOnceApplyTest, FaultOnKthAdoptionRollsBackEarlierAdoptions) {
+  FaultRegistry::Instance().DisarmAll();
+  const storage::Database base = MakeUsersDb(2000);
+  // Fault-free run: how many creates validation makes, and that every
+  // applied index is adopted.
+  size_t validated = 0;
+  size_t applied = 0;
+  {
+    storage::Database db = base;
+    AutomaticIndexManager aim(&db, optimizer::CostModel(), AimOptions{});
+    Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
+    ASSERT_TRUE(r.ok());
+    const AimReport& report = r.ValueOrDie();
+    validated = report.validation.accepted.size() +
+                report.validation.rejected_unused.size();
+    applied = report.recommended.size();
+    ASSERT_EQ(report.stats.indexes_adopted, applied);
+    ASSERT_GE(applied, 2u);
+  }
+  for (size_t k = 1; k <= applied; ++k) {
+    storage::Database db = base;
+    FaultSpec spec;
+    spec.code = Status::Code::kInternal;  // hard failure: no retry rescue
+    spec.skip = static_cast<int>(validated + k - 1);
+    spec.fail_times = 1;
+    ScopedFault fault("storage.create_index", spec);
+    AutomaticIndexManager aim(&db, optimizer::CostModel(), AimOptions{});
+    Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
+    EXPECT_FALSE(r.ok()) << "k=" << k;
+    EXPECT_EQ(FaultRegistry::Instance().stats("storage.create_index")
+                  .triggers,
+              1u)
+        << "k=" << k;
+    EXPECT_TRUE(db.catalog().AllIndexes(true, true).size() ==
+                base.catalog().AllIndexes(true, true).size())
+        << "k=" << k;
+    EXPECT_TRUE(db.catalog().AllIndexes(false, false).empty()) << "k=" << k;
+  }
+  // A transient fault on an adoption is retried with the tree intact.
+  storage::Database db = base;
+  FaultSpec transient;
+  transient.code = Status::Code::kUnavailable;
+  transient.skip = static_cast<int>(validated);
+  transient.fail_times = 1;
+  ScopedFault fault("storage.create_index", transient);
+  AutomaticIndexManager aim(&db, optimizer::CostModel(), AimOptions{});
+  Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().stats.indexes_adopted, applied);
+  ExpectAutomationIndexesMatchFreshBuilds(db, base);
 }
 
 TEST(AimTest, SkipsExistingIndexes) {

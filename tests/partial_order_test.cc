@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include "common/rng.h"
 #include "core/merge.h"
@@ -259,6 +262,120 @@ TEST_P(MergePropertyTest, MergedOrdersPreserveBaseConstraints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergePropertyTest,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ---------- Semi-naive merge vs the all-pairs reference ----------------------
+
+// The all-pairs fixpoint loop MergePartialOrders replaced, kept verbatim
+// as the reference: every sweep tests every ordered pair of the orders
+// present at its start and dedups on CanonicalKey() strings.
+std::vector<PartialOrder> ReferenceMerge(std::vector<PartialOrder> orders,
+                                         const MergeOptions& options) {
+  std::vector<PartialOrder> current;
+  std::unordered_set<std::string> seen;
+  for (auto& po : orders) {
+    if (po.empty()) continue;
+    if (seen.insert(po.CanonicalKey()).second) {
+      current.push_back(std::move(po));
+    }
+  }
+
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    bool grew = false;
+    const size_t n = current.size();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        if (i == j) continue;
+        if (current.size() >= options.max_orders) break;
+        std::optional<PartialOrder> merged =
+            MergeCandidatesPairwise(current[i], current[j]);
+        if (!merged.has_value()) continue;
+        if (seen.insert(merged->CanonicalKey()).second) {
+          current.push_back(std::move(*merged));
+          grew = true;
+        }
+      }
+      if (current.size() >= options.max_orders) break;
+    }
+    if (!grew) break;
+  }
+  return current;
+}
+
+// Seeded inputs over 1-4 tables and column ids up to 100, with duplicate
+// and empty orders, a max_orders cap that often binds mid-sweep, and every
+// max_iterations from 1 to 8. The output must be the reference's, in the
+// reference's sequence.
+TEST(MergeDifferentialTest, SemiNaiveMatchesAllPairsReference) {
+  constexpr int kInputs = 400;
+  int capped = 0;
+  int multi_sweep = 0;
+  for (int seed = 1; seed <= kInputs; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed));
+    const int tables = 1 + static_cast<int>(rng.Uniform(4));
+    // Each table draws its columns from a small pool so subset relations
+    // (and therefore merges) are common.
+    std::vector<std::vector<catalog::ColumnId>> pools(tables);
+    for (auto& pool : pools) {
+      const int width = 2 + static_cast<int>(rng.Uniform(5));
+      for (int k = 0; k < width; ++k) {
+        pool.push_back(static_cast<catalog::ColumnId>(rng.Uniform(101)));
+      }
+    }
+    std::vector<PartialOrder> input;
+    const int count = 2 + static_cast<int>(rng.Uniform(15));
+    for (int k = 0; k < count; ++k) {
+      const catalog::TableId table =
+          static_cast<catalog::TableId>(rng.Uniform(tables));
+      if (rng.Bernoulli(0.08)) {
+        input.push_back(PartialOrder(table));  // empty
+        continue;
+      }
+      if (!input.empty() && rng.Bernoulli(0.12)) {
+        input.push_back(input[rng.Uniform(input.size())]);  // duplicate
+        continue;
+      }
+      const std::vector<catalog::ColumnId>& pool = pools[table];
+      std::vector<std::vector<catalog::ColumnId>> parts;
+      const int nparts = 1 + static_cast<int>(rng.Uniform(3));
+      for (int p = 0; p < nparts; ++p) {
+        std::vector<catalog::ColumnId> part;
+        const int width = 1 + static_cast<int>(rng.Uniform(3));
+        for (int c = 0; c < width; ++c) {
+          part.push_back(pool[rng.Uniform(pool.size())]);
+        }
+        parts.push_back(part);
+      }
+      input.push_back(PO(parts, table));
+    }
+    MergeOptions options;
+    options.max_iterations = 1 + static_cast<size_t>(seed % 8);
+    // Every other input caps the set strictly between its deduplicated
+    // input and its uncapped result, so the cap binds during a sweep.
+    const size_t deduped = ReferenceMerge(input, {4096, 0}).size();
+    const size_t uncapped = ReferenceMerge(input, options).size();
+    if (seed % 2 == 0 && uncapped > deduped + 1) {
+      options.max_orders =
+          deduped + 1 + rng.Uniform(uncapped - deduped - 1);
+      ++capped;
+    }
+
+    const std::vector<PartialOrder> expected = ReferenceMerge(input, options);
+    const std::vector<PartialOrder> actual = MergePartialOrders(input, options);
+    ASSERT_EQ(actual.size(), expected.size()) << "seed=" << seed;
+    for (size_t k = 0; k < expected.size(); ++k) {
+      ASSERT_TRUE(actual[k] == expected[k])
+          << "seed=" << seed << " position " << k << ": "
+          << actual[k].CanonicalKey() << " vs " << expected[k].CanonicalKey();
+    }
+    if (ReferenceMerge(input, {4096, 1}).size() <
+        ReferenceMerge(input, {4096, 8}).size()) {
+      ++multi_sweep;  // some merge needs a merged order as an input
+    }
+  }
+  // The inputs exercise the cap and merges that need a second sweep.
+  EXPECT_GT(capped, 40);
+  EXPECT_GT(multi_sweep, 40);
+}
 
 }  // namespace
 }  // namespace aim::core

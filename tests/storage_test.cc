@@ -56,6 +56,54 @@ TEST(HeapTableTest, UpdateReplacesRow) {
   EXPECT_EQ(heap.row(a)[0].AsInt(), 99);
 }
 
+TEST(HeapTableTest, StampChangesOnEveryMutationAndSurvivesCopies) {
+  HeapTable heap;
+  std::set<uint64_t> stamps = {heap.stamp()};
+  const RowId a = heap.Insert({Value::Int(1)});
+  EXPECT_TRUE(stamps.insert(heap.stamp()).second);
+  const RowId b = heap.Insert({Value::Int(2)});
+  EXPECT_TRUE(stamps.insert(heap.stamp()).second);
+
+  const HeapTable copy = heap;
+  EXPECT_EQ(copy.stamp(), heap.stamp());
+
+  ASSERT_TRUE(heap.Update(a, {Value::Int(3)}).ok());
+  EXPECT_TRUE(stamps.insert(heap.stamp()).second);
+  ASSERT_TRUE(heap.Delete(b).ok());
+  EXPECT_TRUE(stamps.insert(heap.stamp()).second);
+  // A mutated heap never shares a stamp with another heap's past state,
+  // not even with the copy taken before the mutation.
+  EXPECT_NE(copy.stamp(), heap.stamp());
+
+  // Refused mutations leave the rows, and so the stamp, as they were.
+  const uint64_t settled = heap.stamp();
+  EXPECT_FALSE(heap.Delete(b).ok());
+  EXPECT_FALSE(heap.Update(b, {Value::Int(4)}).ok());
+  EXPECT_EQ(heap.stamp(), settled);
+}
+
+TEST(DatabaseTest, CopyKeepsHeapStampsAndDmlChangesThem) {
+  Database db = aim::testing::MakeUsersDb(50);
+  const Database copy = db;
+  EXPECT_EQ(copy.heap(0).stamp(), db.heap(0).stamp());
+  Row row = db.heap(0).row(3);
+  ASSERT_TRUE(db.UpdateRow(0, 3, row).ok());
+  EXPECT_NE(copy.heap(0).stamp(), db.heap(0).stamp());
+  const uint64_t updated = db.heap(0).stamp();
+  ASSERT_TRUE(db.DeleteRow(0, 3).ok());
+  EXPECT_NE(db.heap(0).stamp(), updated);
+  const uint64_t deleted = db.heap(0).stamp();
+  ASSERT_TRUE(db.InsertRow(0, row).ok());
+  EXPECT_NE(db.heap(0).stamp(), deleted);
+  // DDL reads the heap but does not change it.
+  const uint64_t inserted = db.heap(0).stamp();
+  catalog::IndexDef def;
+  def.table = 0;
+  def.columns = {1};
+  ASSERT_TRUE(db.CreateIndex(def).ok());
+  EXPECT_EQ(db.heap(0).stamp(), inserted);
+}
+
 TEST(BTreeIndexTest, PrefixScanExactMatch) {
   BTreeIndex idx;
   idx.Insert(EncodeKey({Value::Int(1), Value::Int(10)}), 0);
