@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <unordered_set>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -16,15 +15,45 @@ namespace aim::core {
 
 namespace {
 
-/// Appends `extra` partial orders, deduplicating by canonical key.
-void AppendUnique(std::vector<PartialOrder>* all,
-                  std::unordered_set<std::string>* seen,
-                  std::vector<PartialOrder> extra) {
-  for (PartialOrder& po : extra) {
-    if (seen->insert(po.CanonicalKey()).second) {
-      all->push_back(std::move(po));
+/// Installs one accepted index through `txn`: an online build when there
+/// is an online-apply target (`online`), else the test clone's tree when
+/// production's heap still carries the tree's stamp, else a create with
+/// retry. An index that already exists counts as installed.
+Status InstallIndex(catalog::IndexDef def, storage::Database* db,
+                    storage::OnlineIndexBuilder* online, RetryPolicy* retry,
+                    std::vector<ValidatedTree>* trees,
+                    storage::IndexSetTransaction* txn, AimRunStats* stats) {
+  def.hypothetical = false;
+  def.id = catalog::kInvalidIndex;
+  def.created_by_automation = true;
+  Status st;
+  if (online != nullptr) {
+    Result<storage::OnlineBuildReport> built = online->Build(std::move(def), txn);
+    st = built.status();
+    if (built.ok()) {
+      const storage::OnlineBuildReport& r = built.ValueOrDie();
+      ++stats->online_builds;
+      stats->online_delta_applied += r.delta_applied + r.swap_tail_applied;
+      stats->online_max_stall_seconds =
+          std::max(stats->online_max_stall_seconds, r.stall_seconds);
+    }
+  } else {
+    auto tree = std::find_if(
+        trees->begin(), trees->end(), [&](const ValidatedTree& t) {
+          return t.table == def.table && t.columns == def.columns &&
+                 t.heap_stamp == db->heap(def.table).stamp();
+        });
+    const bool adopt = tree != trees->end();
+    st = retry->Run([&] {
+                 return adopt ? txn->AdoptIndex(def, &tree->tree)
+                              : txn->CreateIndex(def);
+               }).status();
+    if (adopt) {
+      if (st.ok()) ++stats->indexes_adopted;
+      trees->erase(tree);
     }
   }
+  return st.code() == Status::Code::kAlreadyExists ? Status::OK() : st;
 }
 
 }  // namespace
@@ -129,7 +158,7 @@ Result<AimReport> AutomaticIndexManager::Recommend(
   // per-worker what-if clones; the dedup merge stays serial in query
   // order, making the result bit-identical to the serial fallback.
   std::vector<PartialOrder> orders;
-  std::unordered_set<std::string> seen;
+  PartialOrderSet seen;
   CandidateCache* const ccache = resources_.candidate_cache;
   auto generate_pass = [&](bool covering_enabled) -> Status {
     CandidateGenOptions pass_opts = options_.candidates;
@@ -197,7 +226,7 @@ Result<AimReport> AutomaticIndexManager::Recommend(
       }
     }
     for (std::vector<PartialOrder>& pos : per_query) {
-      AppendUnique(&orders, &seen, std::move(pos));
+      for (PartialOrder& po : pos) AppendUnique(std::move(po), &seen, &orders);
     }
     return Status::OK();
   };
@@ -412,18 +441,14 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
   if (options_.deployment.ordered) {
     obs::PhaseTimer timer("aim.apply", &report.stats.apply_seconds);
     AIM_FAULT_POINT("core.apply");
-    AIM_RETURN_NOT_OK(ApplyOrdered(&report));
+    AIM_RETURN_NOT_OK(ApplyOrdered(&trees, &report));
   } else {
     obs::PhaseTimer timer("aim.apply", &report.stats.apply_seconds);
     // Materialize the production indexes atomically: a failure on the
-    // k-th build rolls back the k-1 already-installed indexes, so
+    // k-th install rolls back the k-1 already-installed indexes, so
     // production is only ever the original configuration or the
-    // fully-validated new one. With an online-apply target, the target
-    // (not the tuning database) receives the indexes via side-build +
-    // delta catch-up + bounded-stall swap, and the rollback is
-    // latch-aware so it is safe under live traffic. Otherwise an index
-    // whose test-clone tree was built from the heap production still holds
-    // (equal heap stamps) adopts that tree instead of building it again.
+    // fully-validated new one. With an online-apply target the rollback
+    // is latch-aware, so it is safe under live traffic.
     AIM_FAULT_POINT("core.apply");
     const bool online = resources_.online_apply_db != nullptr;
     storage::Database* target = online ? resources_.online_apply_db : db_;
@@ -432,42 +457,10 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     RetryPolicy retry(options_.validation.retry);
     storage::OnlineIndexBuilder builder(target, options_.online);
     for (const CandidateIndex& c : report.recommended) {
-      catalog::IndexDef def = c.def;
-      def.hypothetical = false;
-      def.id = catalog::kInvalidIndex;
-      def.created_by_automation = true;
-      if (online) {
-        Result<storage::OnlineBuildReport> built =
-            builder.Build(std::move(def), &txn);
-        if (built.ok()) {
-          const storage::OnlineBuildReport& r = built.ValueOrDie();
-          ++report.stats.online_builds;
-          report.stats.online_delta_applied +=
-              r.delta_applied + r.swap_tail_applied;
-          report.stats.online_max_stall_seconds = std::max(
-              report.stats.online_max_stall_seconds, r.stall_seconds);
-        } else if (built.status().code() != Status::Code::kAlreadyExists) {
-          return built.status();  // txn dtor rolls back prior installs
-        }
-        continue;
-      }
-      auto tree = std::find_if(
-          trees.begin(), trees.end(), [&](const ValidatedTree& t) {
-            return t.table == def.table && t.columns == def.columns &&
-                   t.heap_stamp == db_->heap(def.table).stamp();
-          });
-      Result<catalog::IndexId> id = retry.Run([&] {
-        return tree != trees.end() ? txn.AdoptIndex(def, &tree->tree)
-                                   : txn.CreateIndex(def);
-      });
-      if (!id.ok() &&
-          id.status().code() != Status::Code::kAlreadyExists) {
-        return id.status();  // txn destructor rolls back prior creates
-      }
-      if (tree != trees.end()) {
-        if (id.ok()) ++report.stats.indexes_adopted;
-        trees.erase(tree);
-      }
+      // On failure the txn destructor rolls back prior installs.
+      AIM_RETURN_NOT_OK(InstallIndex(c.def, target,
+                                     online ? &builder : nullptr, &retry,
+                                     &trees, &txn, &report.stats));
     }
     txn.Commit();
     report.stats.indexes_recommended = report.recommended.size();
@@ -479,7 +472,8 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
   return report;
 }
 
-Status AutomaticIndexManager::ApplyOrdered(AimReport* report) {
+Status AutomaticIndexManager::ApplyOrdered(std::vector<ValidatedTree>* trees,
+                                           AimReport* report) {
   static obs::Counter* const steps_counter =
       obs::MetricsRegistry::Global()->counter("aim.deploy.steps");
   static obs::Counter* const failures_counter =
@@ -524,28 +518,8 @@ Status AutomaticIndexManager::ApplyOrdered(AimReport* report) {
       storage::IndexSetTransaction step_txn(
           target, online ? &target->latch() : nullptr);
       if (st.ok()) {
-        if (online) {
-          Result<storage::OnlineBuildReport> built =
-              builder.Build(result.def, &step_txn);
-          if (built.ok()) {
-            const storage::OnlineBuildReport& r = built.ValueOrDie();
-            ++report->stats.online_builds;
-            report->stats.online_delta_applied +=
-                r.delta_applied + r.swap_tail_applied;
-            report->stats.online_max_stall_seconds = std::max(
-                report->stats.online_max_stall_seconds, r.stall_seconds);
-          } else if (built.status().code() !=
-                     Status::Code::kAlreadyExists) {
-            st = built.status();
-          }
-        } else {
-          Result<catalog::IndexId> id =
-              retry.Run([&] { return step_txn.CreateIndex(result.def); });
-          if (!id.ok() &&
-              id.status().code() != Status::Code::kAlreadyExists) {
-            st = id.status();
-          }
-        }
+        st = InstallIndex(result.def, target, online ? &builder : nullptr,
+                          &retry, trees, &step_txn, &report->stats);
       }
       if (st.ok()) step_txn.Commit();
     }

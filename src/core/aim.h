@@ -230,8 +230,9 @@ class AutomaticIndexManager {
   /// build order via DeploymentPlanner, then installs each step in its
   /// own IndexSetTransaction — a failed step rolls back only itself,
   /// earlier installs stay (each index was individually validated).
+  /// Steps adopt the test clone's `trees` like the classic apply.
   /// `report->recommended` is rewritten to the installed subset.
-  Status ApplyOrdered(AimReport* report);
+  Status ApplyOrdered(std::vector<ValidatedTree>* trees, AimReport* report);
 
   storage::Database* db_;
   optimizer::CostModel cm_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "core/merge.h"
@@ -114,7 +113,7 @@ CandidateGenerator::GenerateCandidateIndexPredicates(
     const std::vector<catalog::ColumnId>& join_columns) {
   const catalog::TableId table = aq.instances[instance].table;
   std::vector<PartialOrder> out;
-  std::unordered_set<std::string> seen;
+  PartialOrderSet seen;
 
   // FactorizeIndexPredicates: one group per DNF factor, restricted to the
   // allowed columns; join columns act as equality (IPP) members of every
@@ -190,9 +189,7 @@ CandidateGenerator::GenerateCandidateIndexPredicates(
       po.AppendPartition({best});
     }
     if (po.empty()) continue;
-    if (seen.insert(po.CanonicalKey()).second) {
-      out.push_back(std::move(po));
-    }
+    AppendUnique(std::move(po), &seen, &out);
   }
   return out;
 }
@@ -201,7 +198,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForSelection(
     const workload::Query& query, const AnalyzedQuery& aq, int j,
     CoveringMode mode) {
   std::vector<PartialOrder> out;
-  std::unordered_set<std::string> seen;
+  PartialOrderSet seen;
   for (int t = 0; t < static_cast<int>(aq.instances.size()); ++t) {
     // C_F: columns of t featuring in (sargable) filter predicates.
     std::vector<catalog::ColumnId> c_f;
@@ -231,9 +228,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForSelection(
         }
       }
       for (PartialOrder& c : candidates) {
-        if (seen.insert(c.CanonicalKey()).second) {
-          out.push_back(std::move(c));
-        }
+        AppendUnique(std::move(c), &seen, &out);
       }
     }
   }
@@ -246,7 +241,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForGroupBy(
   (void)query;
   std::vector<PartialOrder> out;
   if (!options_.switches.sort_avoidance) return out;
-  std::unordered_set<std::string> seen;
+  PartialOrderSet seen;
   for (int t = 0; t < static_cast<int>(aq.instances.size()); ++t) {
     const auto& inst = aq.instances[t];
     const std::vector<catalog::ColumnId>& c_g = inst.group_by_columns;
@@ -254,9 +249,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForGroupBy(
     if (mode == CoveringMode::kNonCovering) {
       PartialOrder po(inst.table);
       po.AppendPartition(c_g);
-      if (seen.insert(po.CanonicalKey()).second) {
-        out.push_back(std::move(po));
-      }
+      AppendUnique(std::move(po), &seen, &out);
       continue;
     }
     // Covering: prefix with IPP columns per DNF factor, then group
@@ -292,9 +285,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForGroupBy(
         po.AppendPartition(c_g);
         po.AppendPartition(inst.referenced_columns);
         if (po.empty()) continue;
-        if (seen.insert(po.CanonicalKey()).second) {
-          out.push_back(std::move(po));
-        }
+        AppendUnique(std::move(po), &seen, &out);
       }
     }
   }
@@ -306,7 +297,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForOrderBy(
     CoveringMode mode) {
   std::vector<PartialOrder> out;
   if (!options_.switches.sort_avoidance) return out;
-  std::unordered_set<std::string> seen;
+  PartialOrderSet seen;
   for (int t = 0; t < static_cast<int>(aq.instances.size()); ++t) {
     const auto& inst = aq.instances[t];
     if (inst.order_by_columns.empty()) continue;
@@ -317,9 +308,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForOrderBy(
     if (mode == CoveringMode::kNonCovering) {
       PartialOrder po(inst.table);
       po.AppendSequence(c_o);  // sequence: the order matters
-      if (seen.insert(po.CanonicalKey()).second) {
-        out.push_back(std::move(po));
-      }
+      AppendUnique(std::move(po), &seen, &out);
       continue;
     }
     std::vector<catalog::ColumnId> c_f;
@@ -353,9 +342,7 @@ std::vector<PartialOrder> CandidateGenerator::GenerateCandidatesForOrderBy(
         po.AppendSequence(c_o);
         po.AppendPartition(inst.referenced_columns);
         if (po.empty()) continue;
-        if (seen.insert(po.CanonicalKey()).second) {
-          out.push_back(std::move(po));
-        }
+        AppendUnique(std::move(po), &seen, &out);
       }
     }
   }
@@ -430,13 +417,10 @@ std::vector<PartialOrder> CandidateGenerator::GenerateForQuery(
   out.insert(out.end(), std::make_move_iterator(order.begin()),
              std::make_move_iterator(order.end()));
   // Dedup across the three generators.
-  std::unordered_set<std::string> seen;
+  PartialOrderSet seen;
   std::vector<PartialOrder> dedup;
   for (PartialOrder& po : out) {
-    if (po.empty()) continue;
-    if (seen.insert(po.CanonicalKey()).second) {
-      dedup.push_back(std::move(po));
-    }
+    if (!po.empty()) AppendUnique(std::move(po), &seen, &dedup);
   }
   return dedup;
 }

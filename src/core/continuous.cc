@@ -1,8 +1,8 @@
 #include "core/continuous.h"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <utility>
@@ -10,6 +10,7 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/retry.h"
+#include "common/snapshot_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,8 +23,8 @@ FleetCacheStore::FleetCacheStore(FleetCacheStoreOptions options)
     : options_(std::move(options)) {}
 
 std::string FleetCacheStore::PathFor(uint64_t fingerprint) const {
-  return optimizer::SnapshotPathForFingerprint(
-      options_.snapshot_dir + "/whatif_cache", fingerprint);
+  return SnapshotPathForFingerprint(options_.snapshot_dir + "/whatif_cache",
+                                    fingerprint);
 }
 
 FleetCacheStore::Lookup FleetCacheStore::GetOrCreate(
@@ -41,10 +42,11 @@ FleetCacheStore::Lookup FleetCacheStore::GetOrCreate(
   entry.cache =
       std::make_unique<optimizer::WhatIfCache>(options_.cache_entries);
   if (!options_.snapshot_dir.empty()) {
-    std::ifstream in(PathFor(schema_stats_fingerprint), std::ios::binary);
-    if (in) {
+    const std::optional<std::string> image =
+        ReadSnapshotFile(PathFor(schema_stats_fingerprint));
+    if (image.has_value()) {
       Result<bool> loaded =
-          entry.cache->LoadFrom(in, schema_stats_fingerprint);
+          entry.cache->LoadFrom(*image, schema_stats_fingerprint);
       if (loaded.ok() && loaded.ValueOrDie()) {
         lookup.loaded_from_snapshot = true;
         ++snapshot_loads_;
@@ -67,9 +69,8 @@ Status FleetCacheStore::SaveAll() {
   if (options_.snapshot_dir.empty()) return Status::OK();
   Status first_error = Status::OK();
   for (const auto& [fingerprint, entry] : stores_) {
-    Status st = optimizer::SaveSnapshotAtomic(*entry.cache,
-                                              PathFor(fingerprint),
-                                              fingerprint);
+    Status st = WriteSnapshotFile(PathFor(fingerprint),
+                                  entry.cache->SaveTo(fingerprint));
     if (!st.ok() && first_error.ok()) first_error = st;
   }
   return first_error;
@@ -186,25 +187,16 @@ void ContinuousTuner::ObserveUsage(const workload::Workload& workload,
 
 void ContinuousTuner::PrepareGate(uint64_t fingerprint,
                                   IntervalReport* report) {
-  if (!options_.exploration.enabled) {
-    gate_.reset();
-    detector_.reset();
-    return;
-  }
+  if (!options_.exploration.enabled) return;
   if (gate_ == nullptr) {
     gate_ = std::make_unique<ExplorationGate>(options_.exploration);
     detector_ =
         std::make_unique<support::RegressionDetector>(options_.regression);
-  }
-  if (!gate_load_attempted_) {
     // One load per tuner lifetime: after the first Tick the in-memory gate
-    // is the freshest state there is.
-    gate_load_attempted_ = true;
-    Status st = gate_->LoadSnapshot();
-    if (!st.ok()) {
-      AIM_LOG(Warn) << "exploration gate snapshot load failed (starting "
-                    << "cold): " << st.ToString();
-    }
+    // is the freshest state there is. A rejected image is a cold start.
+    const std::optional<std::string> image =
+        ReadSnapshotFile(options_.exploration.state_path);
+    if (image.has_value()) (void)gate_->LoadFrom(*image, fingerprint);
   }
   // Drift voids the evidence behind every quarantine entry: release them
   // so the (possibly now-beneficial) indexes can compete again.
@@ -218,8 +210,9 @@ void ContinuousTuner::PrepareGate(uint64_t fingerprint,
 }
 
 void ContinuousTuner::SaveGateSnapshot() {
-  if (gate_ == nullptr) return;
-  Status st = gate_->SaveSnapshot();
+  const std::string& path = options_.exploration.state_path;
+  if (gate_ == nullptr || path.empty()) return;
+  Status st = WriteSnapshotFile(path, gate_->SaveTo());
   if (!st.ok()) {
     AIM_LOG(Warn) << "exploration gate snapshot save failed: "
                   << st.ToString();

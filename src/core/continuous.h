@@ -244,13 +244,14 @@ class ContinuousTuner {
   /// externally dropped ids).
   void PruneUsage();
 
-  /// Readies the exploration gate: allocates it (and the regression
-  /// detector) on the first enabled Tick, loads the persisted gate state
-  /// exactly once, and releases quarantine entries recorded under a
-  /// schema/stats fingerprint other than `fingerprint`.
+  /// Readies the exploration gate: on the first enabled Tick, allocates it
+  /// (and the regression detector) and loads `exploration.state_path`,
+  /// which only the tuner reads and writes; then releases quarantine
+  /// entries recorded under a fingerprint other than `fingerprint`.
   void PrepareGate(uint64_t fingerprint, IntervalReport* report);
 
-  /// Best-effort gate-state write after a successful interval.
+  /// Best-effort gate-state write to `exploration.state_path` after a
+  /// successful interval.
   void SaveGateSnapshot();
 
   /// Regression → rollback/quarantine feedback: feeds the interval's
@@ -282,7 +283,6 @@ class ContinuousTuner {
   /// tuner's serial sections.
   std::unique_ptr<ExplorationGate> gate_;
   std::unique_ptr<support::RegressionDetector> detector_;
-  bool gate_load_attempted_ = false;
 };
 
 }  // namespace aim::core

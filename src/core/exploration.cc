@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <utility>
 
+#include "common/snapshot_file.h"
 #include "obs/metrics.h"
-#include "optimizer/what_if_cache.h"
 
 namespace aim::core {
 
 namespace {
-
-constexpr uint64_t kMagic = 0x41494d4741544531ULL;  // "AIMGATE1"
-constexpr uint32_t kVersion = 1;
 
 uint64_t Fnv1a(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -21,30 +17,6 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-template <typename T>
-void PutPod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool GetPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
-}
-
-void PutString(std::ostream& out, const std::string& s) {
-  PutPod(out, static_cast<uint64_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool GetString(std::istream& in, std::string* s) {
-  uint64_t n = 0;
-  if (!GetPod(in, &n) || n > (1u << 20)) return false;
-  s->resize(n);
-  in.read(s->data(), static_cast<std::streamsize>(n));
-  return in.good() || (n == 0 && !in.bad());
 }
 
 }  // namespace
@@ -214,131 +186,80 @@ void ExplorationGate::ObserveFleetBenefit(double benefit_seconds) {
   reward_scale_ = std::max(reward_scale_, 1e-3);
 }
 
-Status ExplorationGate::SaveTo(std::ostream& out) const {
-  PutPod(out, kMagic);
-  PutPod(out, kVersion);
-  PutPod(out, fingerprint_);
-  PutPod(out, reward_scale_);
-  PutPod(out, static_cast<uint64_t>(arms_.size()));
+std::string ExplorationGate::SaveTo() const {
+  SnapshotWriter out(SnapshotKind::kExplorationGate);
+  out.Put(fingerprint_);
+  out.Put(reward_scale_);
+  out.Put(static_cast<uint64_t>(arms_.size()));
+  static_assert(sizeof(ArmState) == 24);  // saved as raw bytes: no padding
   for (const auto& [key, arm] : arms_) {
-    PutPod(out, key);
-    PutPod(out, arm.pulls);
-    PutPod(out, arm.measured_count);
-    PutPod(out, arm.measured_total_seconds);
+    out.Put(key);
+    out.Put(arm);  // pulls u64, measured_count u64, measured total f64
   }
-  PutPod(out, static_cast<uint64_t>(quarantine_.size()));
+  out.Put(static_cast<uint64_t>(quarantine_.size()));
   for (const auto& [key, q] : quarantine_) {
-    PutPod(out, key);
-    PutPod(out, static_cast<int32_t>(q.offenses));
-    PutPod(out, static_cast<uint8_t>(q.quarantined ? 1 : 0));
-    PutPod(out, q.fingerprint);
-    PutPod(out, static_cast<int32_t>(q.def.table));
-    PutString(out, q.def.name);
-    PutPod(out, static_cast<uint64_t>(q.def.columns.size()));
+    out.Put(key);
+    out.Put(static_cast<int32_t>(q.offenses));
+    out.Put(static_cast<uint8_t>(q.quarantined ? 1 : 0));
+    out.Put(q.fingerprint);
+    out.Put(static_cast<int32_t>(q.def.table));
+    out.PutString(q.def.name);
+    out.Put(static_cast<uint64_t>(q.def.columns.size()));
     for (catalog::ColumnId c : q.def.columns) {
-      PutPod(out, static_cast<int32_t>(c));
+      out.Put(static_cast<int32_t>(c));
     }
   }
-  if (!out.good()) return Status::Internal("gate state write failed");
-  return Status::OK();
+  return std::move(out).Finish();
 }
 
-Status ExplorationGate::LoadFrom(std::istream& in) {
-  uint64_t magic = 0;
-  uint32_t version = 0;
+bool ExplorationGate::LoadFrom(std::string_view image, uint64_t fingerprint) {
+  SnapshotReader in(SnapshotKind::kExplorationGate, image);
   uint64_t fp = 0;
   double scale = 1.0;
-  if (!GetPod(in, &magic) || magic != kMagic) {
-    return Status::InvalidArgument("not a gate state file");
-  }
-  if (!GetPod(in, &version) || version != kVersion) {
-    return Status::InvalidArgument("unsupported gate state version");
-  }
-  if (!GetPod(in, &fp) || !GetPod(in, &scale)) {
-    return Status::InvalidArgument("truncated gate state header");
-  }
+  if (!in.Get(&fp) || fp != fingerprint || !in.Get(&scale)) return false;
+  // Staged: the gate changes only once the whole image has decoded.
   std::map<uint64_t, ArmState> arms;
   std::map<uint64_t, QuarantineState> quarantine;
   uint64_t n = 0;
-  if (!GetPod(in, &n) || n > (1u << 22)) {
-    return Status::InvalidArgument("bad gate arm count");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
+  in.Get(&n);
+  for (uint64_t i = 0; i < n && in.ok(); ++i) {
     uint64_t key = 0;
     ArmState arm;
-    if (!GetPod(in, &key) || !GetPod(in, &arm.pulls) ||
-        !GetPod(in, &arm.measured_count) ||
-        !GetPod(in, &arm.measured_total_seconds)) {
-      return Status::InvalidArgument("truncated gate arm entry");
-    }
+    in.Get(&key);
+    in.Get(&arm);
     arms[key] = arm;
   }
-  if (!GetPod(in, &n) || n > (1u << 22)) {
-    return Status::InvalidArgument("bad gate quarantine count");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
+  in.Get(&n);
+  for (uint64_t i = 0; i < n && in.ok(); ++i) {
     uint64_t key = 0;
     QuarantineState q;
     int32_t offenses = 0;
     uint8_t quarantined = 0;
     int32_t table = 0;
     uint64_t ncols = 0;
-    if (!GetPod(in, &key) || !GetPod(in, &offenses) ||
-        !GetPod(in, &quarantined) || !GetPod(in, &q.fingerprint) ||
-        !GetPod(in, &table) || !GetString(in, &q.def.name) ||
-        !GetPod(in, &ncols) || ncols > 4096) {
-      return Status::InvalidArgument("truncated gate quarantine entry");
-    }
+    in.Get(&key);
+    in.Get(&offenses);
+    in.Get(&quarantined);
+    in.Get(&q.fingerprint);
+    in.Get(&table);
+    in.GetString(&q.def.name);
+    in.Get(&ncols);
     q.offenses = offenses;
     q.quarantined = quarantined != 0;
     q.def.table = static_cast<catalog::TableId>(table);
     q.def.created_by_automation = true;
-    for (uint64_t ci = 0; ci < ncols; ++ci) {
-      int32_t col = 0;
-      if (!GetPod(in, &col)) {
-        return Status::InvalidArgument("truncated gate quarantine columns");
-      }
+    int32_t col = 0;
+    for (uint64_t ci = 0; ci < ncols && in.Get(&col); ++ci) {
       q.def.columns.push_back(static_cast<catalog::ColumnId>(col));
     }
     quarantine[key] = std::move(q);
   }
+  if (!in.done()) return false;
   fingerprint_ = fp;
   reward_scale_ = scale;
   arms_ = std::move(arms);
   quarantine_ = std::move(quarantine);
-  return Status::OK();
-}
-
-Status ExplorationGate::SaveSnapshot() const {
-  if (options_.state_path.empty()) return Status::OK();
-  // Temp-file + rename in the target directory: same atomicity story as
-  // the what-if cache snapshots.
-  const std::string tmp = optimizer::SnapshotTempPath(options_.state_path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::Internal("cannot open gate temp file " + tmp);
-    Status st = SaveTo(out);
-    if (st.ok() && !out.good()) {
-      st = Status::Internal("short write to gate temp file " + tmp);
-    }
-    if (!st.ok()) {
-      out.close();
-      std::remove(tmp.c_str());
-      return st;
-    }
-  }
-  if (std::rename(tmp.c_str(), options_.state_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("rename " + tmp + " failed");
-  }
-  return Status::OK();
-}
-
-Status ExplorationGate::LoadSnapshot() {
-  if (options_.state_path.empty()) return Status::OK();
-  std::ifstream in(options_.state_path, std::ios::binary);
-  if (!in) return Status::OK();  // cold start
-  return LoadFrom(in);
+  return true;
 }
 
 std::vector<ArmView> ExplorationGate::arms() const {

@@ -2,14 +2,13 @@
 #define AIM_CORE_EXPLORATION_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "common/status.h"
 #include "core/clone_validation.h"
 #include "core/ranking.h"
 
@@ -42,9 +41,9 @@ struct ExplorationOptions {
   /// estimated benefit (an optimistic estimate may be entirely wrong;
   /// maintenance cost alone understates the exposure).
   double unproven_risk_fraction = 0.5;
-  /// When non-empty, gate state (arms + quarantine) persists here via
-  /// temp-file + atomic rename, loaded once on the first Tick. A missing
-  /// or corrupt snapshot cold-starts the gate.
+  /// When non-empty, the owning ContinuousTuner saves the gate's state
+  /// here after every successful Tick and loads it on its first; a
+  /// missing, corrupt or drifted snapshot is a cold start.
   std::string state_path;
 };
 
@@ -139,15 +138,14 @@ class ExplorationGate {
   /// Scale-only: it widens/narrows every unproven arm's bonus alike.
   void ObserveFleetBenefit(double benefit_seconds);
 
-  /// Binary persistence (magic + version + fingerprint + arms +
-  /// quarantine). LoadFrom replaces the gate's state wholesale; call
-  /// SyncFingerprint afterwards so a drifted snapshot self-invalidates.
-  Status SaveTo(std::ostream& out) const;
-  Status LoadFrom(std::istream& in);
-  /// Temp-file + atomic-rename snapshot at options().state_path (no-ops
-  /// when the path is empty). Load failures cold-start silently.
-  Status SaveSnapshot() const;
-  Status LoadSnapshot();
+  /// The gate's state (fingerprint, reward scale, arms, quarantine) as a
+  /// snapshot image (SnapshotKind::kExplorationGate).
+  std::string SaveTo() const;
+  /// Replaces the gate's state with a SaveTo image recorded under
+  /// `fingerprint`. Returns false, with the state untouched, when the
+  /// image is foreign, an old version, truncated, fails its CRC or was
+  /// recorded under another fingerprint: a cold start.
+  bool LoadFrom(std::string_view image, uint64_t fingerprint);
 
   const ExplorationOptions& options() const { return options_; }
   uint64_t fingerprint() const { return fingerprint_; }

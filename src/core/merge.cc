@@ -25,11 +25,6 @@ PartialOrder OrdinalSum(const PartialOrder& p, const PartialOrder& q,
   return out;
 }
 
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
 /// One order of the merge's working set, with everything the pairwise
 /// test reads computed once, when the order enters the set.
 struct MergeEntry {
@@ -55,11 +50,7 @@ class MergeSet {
   /// Appends `po` unless an equal order is already present; returns
   /// whether it was appended.
   bool Insert(PartialOrder po) {
-    uint64_t h = Mix(0, po.table());
-    for (const PartialOrder::Partition& part : po.partitions()) {
-      h = Mix(h, part.size());
-      for (catalog::ColumnId c : part) h = Mix(h, c);
-    }
+    const uint64_t h = po.Hash();
     auto [begin, end] = by_hash_.equal_range(h);
     for (auto it = begin; it != end; ++it) {
       if (entries_[it->second].po == po) return false;

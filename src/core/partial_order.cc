@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strings.h"
-
 namespace aim::core {
 
 PartialOrder PartialOrder::FromPartitions(catalog::TableId table,
@@ -90,19 +88,16 @@ size_t PartialOrder::TotalOrderCount() const {
   return count;
 }
 
-std::string PartialOrder::CanonicalKey() const {
-  std::string out = StringPrintf("t%u:<", table_);
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "{";
-    for (size_t j = 0; j < partitions_[i].size(); ++j) {
-      if (j > 0) out += ",";
-      out += std::to_string(partitions_[i][j]);
-    }
-    out += "}";
+uint64_t PartialOrder::Hash() const {
+  auto mix = [](uint64_t h, uint64_t v) {
+    return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  };
+  uint64_t h = mix(0, table_);
+  for (const Partition& part : partitions_) {
+    h = mix(h, part.size());
+    for (catalog::ColumnId c : part) h = mix(h, c);
   }
-  out += ">";
-  return out;
+  return h;
 }
 
 std::string PartialOrder::ToString(const catalog::Catalog& catalog) const {

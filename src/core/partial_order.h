@@ -1,7 +1,10 @@
 #ifndef AIM_CORE_PARTIAL_ORDER_H_
 #define AIM_CORE_PARTIAL_ORDER_H_
 
+#include <cstdint>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -58,8 +61,9 @@ class PartialOrder {
   /// factorials; saturates at SIZE_MAX).
   size_t TotalOrderCount() const;
 
-  /// Canonical text key for dedup: "t3:<{1,2},{5}>".
-  std::string CanonicalKey() const;
+  /// 64-bit hash of the table and the partitions (each partition is kept
+  /// sorted, so equal orders hash alike); consistent with operator==.
+  uint64_t Hash() const;
   /// Human-readable rendering with column names.
   std::string ToString(const catalog::Catalog& catalog) const;
 
@@ -71,6 +75,18 @@ class PartialOrder {
   catalog::TableId table_;
   std::vector<Partition> partitions_;
 };
+
+struct PartialOrderHash {
+  size_t operator()(const PartialOrder& po) const { return po.Hash(); }
+};
+/// A dedup set of partial orders: Hash(), then operator== on a hit.
+using PartialOrderSet = std::unordered_set<PartialOrder, PartialOrderHash>;
+
+/// Appends `po` to `out` unless `seen` already holds an equal order.
+inline void AppendUnique(PartialOrder po, PartialOrderSet* seen,
+                         std::vector<PartialOrder>* out) {
+  if (seen->insert(po).second) out->push_back(std::move(po));
+}
 
 }  // namespace aim::core
 

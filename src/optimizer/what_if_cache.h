@@ -5,10 +5,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -76,24 +77,19 @@ class WhatIfCache {
   /// Test/diagnostic peek; touches neither counters nor LRU order.
   std::optional<double> Peek(const Key& key) const;
 
-  /// Serializes every ready entry (most-recently-used first) as a
-  /// versioned binary snapshot. `catalog_fingerprint` identifies the
-  /// schema + statistics the costs were computed against; LoadFrom
-  /// refuses a snapshot taken against a different catalog (the costs
-  /// would be stale, not just unreachable). In-flight computations are
-  /// skipped — only resolved costs persist.
-  Status SaveTo(std::ostream& out, uint64_t catalog_fingerprint) const;
+  /// The ready entries, most recently used first, as a snapshot image
+  /// (SnapshotKind::kWhatIfCache) tagged with `catalog_fingerprint`: the
+  /// schema + statistics the costs were computed against.
+  std::string SaveTo(uint64_t catalog_fingerprint) const;
 
-  /// Restores a SaveTo snapshot, replacing any ready entries. Returns
-  /// true when the snapshot was adopted; false when it was *rejected* —
-  /// version or catalog-fingerprint mismatch, corruption, truncation —
-  /// in which case the cache is left cold (never partially loaded).
-  /// A rejected snapshot is the designed cold-start path, not an error;
-  /// a non-OK status means the load itself failed (crosses the
-  /// `whatif.cache.load` fault point) and callers should also start
-  /// cold. Counters are untouched either way: hits against loaded
-  /// entries are how carried-over value is measured.
-  Result<bool> LoadFrom(std::istream& in, uint64_t catalog_fingerprint);
+  /// Restores a SaveTo image, replacing the ready entries. Returns false,
+  /// leaving the cache as it was, when the image is *rejected* — foreign,
+  /// an old version, truncated, failing its CRC, or taken against another
+  /// catalog fingerprint (stale costs): the designed cold start. A non-OK
+  /// status (the `whatif.cache.load` fault point) also means start cold.
+  /// Counters are untouched: hits against loaded entries are how
+  /// carried-over value is measured.
+  Result<bool> LoadFrom(std::string_view image, uint64_t catalog_fingerprint);
 
   void Clear();
   size_t size() const;
@@ -141,30 +137,6 @@ class WhatIfCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
 };
-
-/// The per-schema snapshot file a base path expands to:
-/// `<base_path>.<catalog_fingerprint as 16 hex digits>`. Namespacing
-/// snapshots by schema/statistics fingerprint lets many tuners (a fleet
-/// of tenants, several processes) share one configured snapshot path
-/// without clobbering each other: distinct schemas write distinct files,
-/// and same-schema writers overwrite with equally-valid snapshots.
-std::string SnapshotPathForFingerprint(const std::string& base_path,
-                                       uint64_t catalog_fingerprint);
-
-/// The private temporary a snapshot writer renames over `path`: in the
-/// same directory (rename(2) is only atomic there), tagged with the
-/// process id and the thread id so no two concurrent writers, in one
-/// process or several, ever share it.
-std::string SnapshotTempPath(const std::string& path);
-
-/// Atomically persists `cache` to `path`: SaveTo writes a private
-/// temporary file in the same directory, which is then rename(2)d over
-/// `path`. Readers therefore always see either the old snapshot or the
-/// complete new one, never a torn mix — even when several tuners save to
-/// the same path concurrently (last writer wins whole). The temporary is
-/// unlinked on any failure.
-Status SaveSnapshotAtomic(const WhatIfCache& cache, const std::string& path,
-                          uint64_t catalog_fingerprint);
 
 }  // namespace aim::optimizer
 

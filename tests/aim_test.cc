@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/snapshot_file.h"
 #include "core/aim.h"
 #include "core/continuous.h"
 #include "executor/executor.h"
@@ -241,18 +242,26 @@ void ExpectAutomationIndexesMatchFreshBuilds(const storage::Database& db,
 
 TEST(BuildOnceApplyTest, AdoptedTreesEqualFreshBuilds) {
   FaultRegistry::Instance().DisarmAll();
-  storage::Database db = MakeUsersDb(3000);
-  const storage::Database untouched = db;
-  AutomaticIndexManager aim(&db, optimizer::CostModel(), AimOptions{});
-  Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const AimReport& report = r.ValueOrDie();
-  ASSERT_FALSE(report.recommended.empty());
-  // A read-only workload leaves the test clone's heaps as production's:
-  // every applied index is the clone's tree, none is built twice.
-  EXPECT_EQ(report.stats.indexes_adopted, report.recommended.size());
-  EXPECT_TRUE(report.validation.trees.empty());  // moved into production
-  ExpectAutomationIndexesMatchFreshBuilds(db, untouched);
+  // The classic single-transaction apply and ordered deployment share one
+  // install step.
+  for (bool ordered : {false, true}) {
+    SCOPED_TRACE(ordered ? "ordered deployment" : "classic apply");
+    storage::Database db = MakeUsersDb(3000);
+    const storage::Database untouched = db;
+    AimOptions options;
+    options.deployment.ordered = ordered;
+    AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
+    Result<AimReport> r = aim.RunOnce(SimpleWorkload(), nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const AimReport& report = r.ValueOrDie();
+    ASSERT_FALSE(report.recommended.empty());
+    EXPECT_EQ(report.deployment.ordered, ordered);
+    // A read-only workload leaves the test clone's heaps as production's:
+    // every applied index is the clone's tree, none is built twice.
+    EXPECT_EQ(report.stats.indexes_adopted, report.recommended.size());
+    EXPECT_TRUE(report.validation.trees.empty());  // moved into production
+    ExpectAutomationIndexesMatchFreshBuilds(db, untouched);
+  }
 }
 
 TEST(BuildOnceApplyTest, DmlOnIndexedTableFallsBackToBuild) {
@@ -600,7 +609,7 @@ TEST(ContinuousTest, CacheSnapshotWarmStartsAcrossTunerInstances) {
   const workload::Workload w = SimpleWorkload();
   // The actual file is namespaced by the schema/statistics fingerprint
   // (so fleets of tuners sharing one snapshot dir never collide).
-  const std::string real_path = optimizer::SnapshotPathForFingerprint(
+  const std::string real_path = SnapshotPathForFingerprint(
       store_options.snapshot_dir + "/whatif_cache",
       base.catalog().SchemaStatsFingerprint());
   std::remove(real_path.c_str());

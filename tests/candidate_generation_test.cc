@@ -63,7 +63,7 @@ struct Fixture {
 bool HasOrder(const std::vector<PartialOrder>& orders,
               const PartialOrder& want) {
   for (const PartialOrder& po : orders) {
-    if (po.CanonicalKey() == want.CanonicalKey()) return true;
+    if (po == want) return true;
   }
   return false;
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/snapshot_file.h"
 #include "common/rng.h"
 #include "core/continuous.h"
 #include "core/sharding.h"
@@ -158,7 +159,7 @@ TEST(ChaosPipelineTest, NoRegressionGuaranteeUnderRandomFaultSchedules) {
   FleetCacheStoreOptions store_options;
   store_options.snapshot_dir = ::testing::TempDir() + "/chaos_whatif_cache";
   std::filesystem::create_directories(store_options.snapshot_dir);
-  std::remove(optimizer::SnapshotPathForFingerprint(
+  std::remove(SnapshotPathForFingerprint(
                   store_options.snapshot_dir + "/whatif_cache",
                   base.catalog().SchemaStatsFingerprint())
                   .c_str());

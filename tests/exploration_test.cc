@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -28,6 +29,7 @@
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
+#include "common/snapshot_file.h"
 #include "core/continuous.h"
 #include "core/deployment_plan.h"
 #include "core/exploration.h"
@@ -331,39 +333,39 @@ TEST(ExplorationGateTest, PersistenceRoundTripsArmsAndQuarantine) {
   EXPECT_TRUE(gate.ObserveRegression(def));
   gate.Admit({MakeCandidate(1, {4}, 0.3, 0.01, 500)});
 
-  std::stringstream buf;
-  ASSERT_TRUE(gate.SaveTo(buf).ok());
   ExplorationGate loaded(options);
-  ASSERT_TRUE(loaded.LoadFrom(buf).ok());
+  ASSERT_TRUE(loaded.LoadFrom(gate.SaveTo(), 99));
   EXPECT_EQ(GateSignature(loaded), GateSignature(gate));
   EXPECT_TRUE(loaded.IsQuarantined(def));
 
   // Snapshot-file round trip (fresh path: TempDir persists across runs).
-  ExplorationOptions disk = options;
-  disk.state_path = ::testing::TempDir() + "/aim_gate_state_test.bin";
-  std::remove(disk.state_path.c_str());
-  ExplorationGate writer(disk);
+  const std::string path = ::testing::TempDir() + "/aim_gate_state_test.bin";
+  std::remove(path.c_str());
+  ExplorationGate writer(options);
   writer.SyncFingerprint(99);
   EXPECT_TRUE(writer.ObserveRegression(def));
-  ASSERT_TRUE(writer.SaveSnapshot().ok());
-  ExplorationGate reader(disk);
-  ASSERT_TRUE(reader.LoadSnapshot().ok());
+  ASSERT_TRUE(WriteSnapshotFile(path, writer.SaveTo()).ok());
+  ExplorationGate reader(options);
+  const std::optional<std::string> image = ReadSnapshotFile(path);
+  ASSERT_TRUE(image.has_value());
+  ASSERT_TRUE(reader.LoadFrom(*image, 99));
   EXPECT_EQ(GateSignature(reader), GateSignature(writer));
-  std::remove(disk.state_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(ExplorationGateTest, CorruptSnapshotColdStarts) {
-  ExplorationOptions options;
-  options.state_path = ::testing::TempDir() + "/aim_gate_corrupt_test.bin";
+  const std::string path = ::testing::TempDir() + "/aim_gate_corrupt_test.bin";
   {
-    std::ofstream out(options.state_path, std::ios::binary);
+    std::ofstream out(path, std::ios::binary);
     out << "not a gate state file";
   }
-  ExplorationGate gate(options);
-  EXPECT_FALSE(gate.LoadSnapshot().ok());  // rejected, state untouched
+  ExplorationGate gate;
+  const std::optional<std::string> image = ReadSnapshotFile(path);
+  ASSERT_TRUE(image.has_value());
+  EXPECT_FALSE(gate.LoadFrom(*image, 0));  // rejected, state untouched
   EXPECT_TRUE(gate.arms().empty());
   EXPECT_TRUE(gate.quarantine().empty());
-  std::remove(options.state_path.c_str());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -865,6 +867,66 @@ TEST(ExplorationTunerTest, GateStatePersistsAcrossTunerRestart) {
   for (const CandidateIndex& c : r.ValueOrDie().aim.recommended) {
     EXPECT_EQ(quarantined.count(IndexArmKey(c.def)), 0u);
   }
+  std::remove(path.c_str());
+}
+
+TEST(ExplorationTunerTest, FlippedGateStateRestartsCold) {
+  FaultRegistry::Instance().DisarmAll();
+  const std::string path =
+      ::testing::TempDir() + "/aim_gate_tuner_flipped.bin";
+  std::remove(path.c_str());
+  storage::Database db = MakeUsersDb(400, /*seed=*/13);
+  workload::Workload w = ExplorationWorkload();
+  workload::WorkloadMonitor monitor;
+
+  ContinuousTunerOptions options;
+  options.exploration.enabled = true;
+  options.exploration.quarantine_after_offenses = 2;
+  options.exploration.regret_budget_seconds = 0.0;
+  options.exploration.state_path = path;
+  options.aim.deployment.ordered = true;
+  options.drop_after_idle_intervals = 100;
+  options.shrink_after_idle_intervals = 100;
+
+  const std::set<uint64_t> spiked = {
+      sql::NormalizedFingerprint(w.queries[0].stmt)};
+  {
+    ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+    for (int tick = 0; tick < 4; ++tick) {
+      FeedInterval(&monitor, w,
+                   tick >= 2 ? spiked : std::set<uint64_t>{});
+      Result<IntervalReport> r = tuner.Tick(w, &monitor);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+    ASSERT_FALSE(tuner.exploration_gate()->quarantined_keys().empty());
+  }
+
+  // Flip one exponent bit of the persisted reward scale (header 20
+  // bytes, then the 8-byte fingerprint).
+  std::optional<std::string> image = ReadSnapshotFile(path);
+  ASSERT_TRUE(image.has_value());
+  (*image)[20 + 8 + 7] ^= 0x40;
+  ASSERT_TRUE(WriteSnapshotFile(path, *image).ok());
+
+  // A tuner that never persisted, on the same database, workload and
+  // statistics, shows what a cold gate decides.
+  storage::Database cold_db = db;
+  ContinuousTunerOptions cold_options = options;
+  cold_options.exploration.state_path.clear();
+  ContinuousTuner cold(&cold_db, optimizer::CostModel(), cold_options);
+  FeedInterval(&monitor, w);
+  Result<IntervalReport> want = cold.Tick(w, &monitor);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  ContinuousTuner restarted(&db, optimizer::CostModel(), options);
+  FeedInterval(&monitor, w);
+  Result<IntervalReport> got = restarted.Tick(w, &monitor);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got.ValueOrDie().degraded);
+  EXPECT_TRUE(restarted.exploration_gate()->quarantined_keys().empty());
+  EXPECT_EQ(GateSignature(*restarted.exploration_gate()),
+            GateSignature(*cold.exploration_gate()));
+  EXPECT_EQ(TickSignature(got.ValueOrDie()), TickSignature(want.ValueOrDie()));
   std::remove(path.c_str());
 }
 

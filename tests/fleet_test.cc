@@ -9,13 +9,15 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/snapshot_file.h"
 #include "core/continuous.h"
 #include "core/fleet.h"
 #include "obs/trace.h"
@@ -263,7 +265,7 @@ TEST(FleetCacheStoreTest, SnapshotDirWarmStartsARestartedFleet) {
     // Stale snapshots from a previous test run would warm-start the
     // "cold" fleet below; start from a clean slate.
     for (const workload::GeneratedTenant& t : fleet.ValueOrDie()) {
-      std::remove(optimizer::SnapshotPathForFingerprint(
+      std::remove(SnapshotPathForFingerprint(
                       dir + "/whatif_cache",
                       t.db.catalog().SchemaStatsFingerprint())
                       .c_str());
@@ -292,6 +294,52 @@ TEST(FleetCacheStoreTest, SnapshotDirWarmStartsARestartedFleet) {
   }
 }
 
+TEST(FleetCacheStoreTest, FlippedSnapshotByteIsAColdStart) {
+  // A directory of its own: other tests persist the same fingerprints.
+  const std::string dir = ::testing::TempDir() + "/flipped_whatif_snapshot";
+  std::filesystem::create_directories(dir);
+  Result<std::vector<workload::GeneratedTenant>> fleet =
+      workload::GenerateTenantFleet(SmallFleetOptions(1, 1));
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  const workload::GeneratedTenant& tenant = fleet.ValueOrDie()[0];
+  const std::string path = SnapshotPathForFingerprint(
+      dir + "/whatif_cache", tenant.db.catalog().SchemaStatsFingerprint());
+  std::remove(path.c_str());
+  core::FleetCacheStoreOptions options;
+  options.snapshot_dir = dir;
+  // One tick of a tenant on a store over `dir`: its decisions and whether
+  // the store warm-started.
+  auto tick = [&](core::FleetCacheStore* store) {
+    storage::Database db = tenant.db;
+    core::ContinuousTuner tuner(&db, optimizer::CostModel(), {}, store);
+    Result<core::IntervalReport> r = tuner.Tick(tenant.workload, nullptr);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r.ValueOrDie().degraded);
+    return std::make_pair(
+        ReportSignature(r.ValueOrDie()) + CatalogSignature(db),
+        r.ValueOrDie().cache_loaded_from_snapshot);
+  };
+  core::FleetCacheStore cold_store(options);
+  const auto [cold, cold_loaded] = tick(&cold_store);
+  EXPECT_FALSE(cold_loaded);
+  ASSERT_TRUE(cold_store.SaveAll().ok());
+
+  // Flip one exponent bit of the most recently used entry's cost (header
+  // 20 bytes, fingerprint and count 16, statement and configuration 16).
+  std::optional<std::string> image = ReadSnapshotFile(path);
+  ASSERT_TRUE(image.has_value());
+  ASSERT_GT(image->size(), 60u);
+  (*image)[20 + 16 + 16 + 7] ^= 0x40;
+  ASSERT_TRUE(WriteSnapshotFile(path, *image).ok());
+
+  core::FleetCacheStore restarted(options);
+  const auto [warm, warm_loaded] = tick(&restarted);
+  EXPECT_FALSE(warm_loaded);
+  EXPECT_EQ(restarted.snapshot_loads(), 0u);
+  EXPECT_EQ(warm, cold);
+  std::remove(path.c_str());
+}
+
 TEST(FleetCacheStoreTest, TrimEvictsLeastRecentlyUsedStores) {
   core::FleetCacheStoreOptions options;
   options.max_stores = 2;
@@ -317,20 +365,19 @@ TEST(FleetCacheStoreTest, TrimEvictsLeastRecentlyUsedStores) {
 // Atomic snapshot persistence (the SaveTo collision fix)
 
 TEST(SnapshotAtomicityTest, PathsAreNamespacedByFingerprint) {
-  const std::string a = optimizer::SnapshotPathForFingerprint("/x/c.bin", 1);
-  const std::string b = optimizer::SnapshotPathForFingerprint("/x/c.bin", 2);
+  const std::string a = SnapshotPathForFingerprint("/x/c.bin", 1);
+  const std::string b = SnapshotPathForFingerprint("/x/c.bin", 2);
   EXPECT_NE(a, b);
   EXPECT_EQ(a.rfind("/x/c.bin", 0), 0u);
 }
 
 TEST(SnapshotAtomicityTest, TempPathIsPrivateToProcessAndThread) {
-  const std::string tmp = optimizer::SnapshotTempPath("/x/c.bin");
+  const std::string tmp = SnapshotTempPath("/x/c.bin");
   EXPECT_EQ(tmp.rfind("/x/c.bin.tmp.", 0), 0u);
   EXPECT_NE(tmp.find("." + std::to_string(getpid()) + "."), std::string::npos)
       << tmp;
   std::string other;
-  std::thread([&] { other = optimizer::SnapshotTempPath("/x/c.bin"); })
-      .join();
+  std::thread([&] { other = SnapshotTempPath("/x/c.bin"); }).join();
   EXPECT_NE(tmp, other);
 }
 
@@ -356,17 +403,16 @@ TEST(SnapshotAtomicityTest, ConcurrentSaversNeverTearTheSnapshot) {
     threads.emplace_back([&, t] {
       const optimizer::WhatIfCache& cache = (t % 2 == 0) ? a : b;
       for (int i = 0; i < 25; ++i) {
-        Status st =
-            optimizer::SaveSnapshotAtomic(cache, path, kFingerprint);
+        Status st = WriteSnapshotFile(path, cache.SaveTo(kFingerprint));
         EXPECT_TRUE(st.ok()) << st.ToString();
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good());
+  const std::optional<std::string> image = ReadSnapshotFile(path);
+  ASSERT_TRUE(image.has_value());
   optimizer::WhatIfCache loaded(64);
-  Result<bool> adopted = loaded.LoadFrom(in, kFingerprint);
+  Result<bool> adopted = loaded.LoadFrom(*image, kFingerprint);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
   EXPECT_TRUE(adopted.ValueOrDie());
   EXPECT_EQ(loaded.size(), 16u);

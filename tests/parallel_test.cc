@@ -171,8 +171,7 @@ TEST(WhatIfCachePersistenceTest, RoundTripReproducesEntriesColdCounters) {
   ASSERT_TRUE(cache.GetOrCompute({2, 10}, cost(2.5)).ok());
   ASSERT_TRUE(cache.GetOrCompute({3, 20}, cost(3.5)).ok());
 
-  std::stringstream snapshot;
-  ASSERT_TRUE(cache.SaveTo(snapshot, /*catalog_fingerprint=*/77).ok());
+  const std::string snapshot = cache.SaveTo(/*catalog_fingerprint=*/77);
 
   optimizer::WhatIfCache restored(16);
   Result<bool> adopted = restored.LoadFrom(snapshot, 77);
@@ -199,8 +198,7 @@ TEST(WhatIfCachePersistenceTest, CatalogFingerprintMismatchIsRejected) {
   optimizer::WhatIfCache cache(16);
   ASSERT_TRUE(
       cache.GetOrCompute({1, 1}, [] { return Result<double>(1.0); }).ok());
-  std::stringstream snapshot;
-  ASSERT_TRUE(cache.SaveTo(snapshot, 77).ok());
+  const std::string snapshot = cache.SaveTo(77);
 
   // The snapshot was taken against catalog 77; a tuner on catalog 78
   // (schema or statistics drifted) must start cold, not stale.
@@ -217,13 +215,11 @@ TEST(WhatIfCachePersistenceTest, CorruptOrTruncatedSnapshotStaysCold) {
       cache.GetOrCompute({1, 1}, [] { return Result<double>(1.0); }).ok());
   ASSERT_TRUE(
       cache.GetOrCompute({2, 2}, [] { return Result<double>(2.0); }).ok());
-  std::stringstream snapshot;
-  ASSERT_TRUE(cache.SaveTo(snapshot, 7).ok());
-  const std::string bytes = snapshot.str();
+  const std::string bytes = cache.SaveTo(7);
 
   {
     // Garbage magic.
-    std::stringstream garbage("definitely not a snapshot");
+    const std::string garbage = "definitely not a snapshot";
     optimizer::WhatIfCache restored(16);
     Result<bool> adopted = restored.LoadFrom(garbage, 7);
     ASSERT_TRUE(adopted.ok());
@@ -231,9 +227,10 @@ TEST(WhatIfCachePersistenceTest, CorruptOrTruncatedSnapshotStaysCold) {
     EXPECT_EQ(restored.size(), 0u);
   }
   {
-    // Truncated mid-entry: the whole snapshot is rejected, and entries
-    // already present in the target cache survive untouched.
-    std::stringstream truncated(bytes.substr(0, bytes.size() - 4));
+    // Truncated mid-entry (the 4-byte CRC trailer and half of the last
+    // cost cut off): the whole snapshot is rejected, and entries already
+    // present in the target cache survive untouched.
+    const std::string truncated = bytes.substr(0, bytes.size() - 8);
     optimizer::WhatIfCache restored(16);
     ASSERT_TRUE(restored
                     .GetOrCompute({9, 9},
@@ -246,8 +243,8 @@ TEST(WhatIfCachePersistenceTest, CorruptOrTruncatedSnapshotStaysCold) {
     EXPECT_EQ(restored.Peek({9, 9}).value(), 9.0);
   }
   {
-    // Empty stream (missing snapshot file): cold start, no error.
-    std::stringstream empty;
+    // Empty image: cold start, no error.
+    const std::string empty;
     optimizer::WhatIfCache restored(16);
     Result<bool> adopted = restored.LoadFrom(empty, 7);
     ASSERT_TRUE(adopted.ok());
@@ -259,8 +256,7 @@ TEST(WhatIfCachePersistenceTest, LoadFaultPointInjectsFailure) {
   optimizer::WhatIfCache cache(16);
   ASSERT_TRUE(
       cache.GetOrCompute({1, 1}, [] { return Result<double>(1.0); }).ok());
-  std::stringstream snapshot;
-  ASSERT_TRUE(cache.SaveTo(snapshot, 7).ok());
+  const std::string snapshot = cache.SaveTo(7);
 
   FaultRegistry::Instance().DisarmAll();
   FaultSpec spec;
@@ -284,8 +280,7 @@ TEST(WhatIfCachePersistenceTest, SmallerCapacityKeepsMostRecentEntries) {
                                   })
                     .ok());
   }
-  std::stringstream snapshot;
-  ASSERT_TRUE(cache.SaveTo(snapshot, 7).ok());
+  const std::string snapshot = cache.SaveTo(7);
 
   // Entries are serialized MRU-first, so a smaller restored cache keeps
   // the hottest ones: {5,0} (most recent) survives, {0,0} does not.
