@@ -90,6 +90,8 @@ std::string RunJson(const ShardedRun& run) {
       .Add("what_if_calls", run.stats.what_if_calls)
       .Add("cache_hit_rate", run.stats.cache_hit_rate())
       .Add("applied", static_cast<uint64_t>(run.applied))
+      .Add("indexes_adopted",
+           static_cast<uint64_t>(run.stats.indexes_adopted))
       .Add("rejected_by_shards", static_cast<uint64_t>(run.rejected));
   return o.ToString();
 }
@@ -196,11 +198,13 @@ int main() {
   auto row = [](const char* name, const ShardedRun& r) {
     std::printf(
         "%-24s wall=%7.3fs validation=%7.3fs apply=%7.3fs "
-        "whatif=%6llu cache_hit=%5.1f%% applied=%zu rejected=%zu\n",
+        "whatif=%6llu cache_hit=%5.1f%% applied=%zu adopted=%zu "
+        "rejected=%zu\n",
         name, r.wall_seconds, r.stats.shard_validation_seconds,
         r.stats.shard_apply_seconds,
         (unsigned long long)r.stats.what_if_calls,
-        100.0 * r.stats.cache_hit_rate(), r.applied, r.rejected);
+        100.0 * r.stats.cache_hit_rate(), r.applied,
+        r.stats.indexes_adopted, r.rejected);
   };
   row("serial shard loop", s);
   row("4-way shard fan-out", p);

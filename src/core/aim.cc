@@ -13,12 +13,6 @@
 
 namespace aim::core {
 
-namespace {
-
-/// Installs one accepted index through `txn`: an online build when there
-/// is an online-apply target (`online`), else the test clone's tree when
-/// production's heap still carries the tree's stamp, else a create with
-/// retry. An index that already exists counts as installed.
 Status InstallIndex(catalog::IndexDef def, storage::Database* db,
                     storage::OnlineIndexBuilder* online, RetryPolicy* retry,
                     std::vector<ValidatedTree>* trees,
@@ -56,8 +50,6 @@ Status InstallIndex(catalog::IndexDef def, storage::Database* db,
   return st.code() == Status::Code::kAlreadyExists ? Status::OK() : st;
 }
 
-}  // namespace
-
 std::vector<SelectedQuery> AutomaticIndexManager::SelectQueries(
     const workload::Workload& workload,
     const workload::WorkloadMonitor* monitor) const {
@@ -77,29 +69,13 @@ std::vector<SelectedQuery> AutomaticIndexManager::SelectQueries(
   return selected;
 }
 
-common::ThreadPool* AutomaticIndexManager::EnsurePool() {
-  if (resources_.shared_pool != nullptr) {
-    pool_.reset();
-    return resources_.shared_pool;
-  }
-  if (options_.num_threads <= 1) {
-    pool_.reset();
-    return nullptr;
-  }
-  if (pool_ == nullptr ||
-      pool_->worker_count() != options_.num_threads) {
-    pool_ = std::make_unique<common::ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
-}
-
 Result<AimReport> AutomaticIndexManager::Recommend(
     const workload::Workload& workload,
     const workload::WorkloadMonitor* monitor) {
   obs::Span run_span(obs::Tracer::Get(), "aim.recommend");
   const auto t0 = std::chrono::steady_clock::now();
   AimReport report;
-  common::ThreadPool* pool = EnsurePool();
+  common::ThreadPool* const pool = this->pool();
 
   // Line 0 (extension): workload compression — fold the interval's raw
   // statements into weighted cluster representatives, so every later
@@ -380,18 +356,11 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
                           &report.stats.validation_seconds);
     if (options_.validate_on_clone && !report.recommended.empty()) {
       // Line 3: materialize on a clone and keep only validated indexes.
-      // Replay dedup rides the same switch as the plan-cost cache: with
-      // memoization off the engine behaves exactly like the pre-cache
-      // one.
-      CloneValidationOptions validation_opts = options_.validation;
-      validation_opts.dedup_replay =
-          validation_opts.dedup_replay ||
-          options_.what_if_cache_entries > 0;
       AIM_ASSIGN_OR_RETURN(
           report.validation,
           ValidateOnClone(*db_, report.recommended,
-                          report.selected_workload, cm_,
-                          validation_opts, EnsurePool()));
+                          report.selected_workload, cm_, options_.validation,
+                          pool(), options_.dedup_replay()));
       trees.swap(report.validation.trees);
       report.stats.indexes_rejected_by_validation =
           report.recommended.size() - report.validation.accepted.size();
@@ -496,9 +465,6 @@ Status AutomaticIndexManager::ApplyOrdered(std::vector<ValidatedTree>* trees,
   for (const DeploymentStep& s : plan.steps) {
     DeploymentStepResult result;
     result.def = s.index.def;
-    result.def.hypothetical = false;
-    result.def.id = catalog::kInvalidIndex;
-    result.def.created_by_automation = true;
     result.slot = s.slot;
     result.modeled_start_seconds = s.start_seconds;
     result.modeled_finish_seconds = s.finish_seconds;

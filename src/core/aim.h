@@ -43,6 +43,10 @@ struct AimOptions {
   /// what-if clones of one run. 0 disables memoization entirely — the
   /// pre-cache engine, kept for A/B benchmarking.
   size_t what_if_cache_entries = 4096;
+  /// Replay dedup in clone validation rides the same switch as the
+  /// plan-cost cache: with memoization off the engine behaves exactly like
+  /// the pre-cache one.
+  bool dedup_replay() const { return what_if_cache_entries > 0; }
   /// Build knobs for the online apply path (ignored when
   /// `TuningResources::online_apply_db` is null).
   storage::OnlineBuildOptions online;
@@ -63,11 +67,12 @@ struct AimOptions {
 struct TuningResources {
   /// Worker pool to fan out on instead of a private one
   /// (`AimOptions::num_threads` is then ignored for pool sizing). This is
-  /// how the fleet tuner runs many tenants' inner what-if work on one
-  /// shared pool: inner tasks are queued one nesting level deeper than
-  /// the tenant-level tasks, and waiting tasks help drain deeper work, so
-  /// two-level fan-out on a single fixed-size pool cannot deadlock (see
-  /// common::ThreadPool). Null = private per-run pool.
+  /// how the fleet tuner runs many tenants' inner what-if work, and the
+  /// sharded manager its per-shard work, on one shared pool: inner tasks
+  /// are queued one nesting level deeper than the outer tasks, and waiting
+  /// tasks help drain deeper work, so two-level fan-out on a single
+  /// fixed-size pool cannot deadlock (see common::ThreadPool). Null = a
+  /// private pool built with the manager.
   common::ThreadPool* shared_pool = nullptr;
   /// Plan-cost cache to use instead of a per-run one. This is how the
   /// continuous tuner carries warm entries across intervals; the advisor
@@ -184,6 +189,18 @@ struct AimReport {
   std::shared_ptr<const workload::CompressedWorkload> compressed;
 };
 
+/// Installs one accepted index through `txn` as a production index tagged
+/// `created_by_automation`: an online build when there is an online-apply
+/// target (`online`), else the test clone's tree from `trees` when `db`'s
+/// heap still carries the tree's stamp (counted in
+/// `stats->indexes_adopted`), else a create with `retry`. An index that
+/// already exists counts as installed. The one install step of the
+/// classic, ordered and sharded apply.
+Status InstallIndex(catalog::IndexDef def, storage::Database* db,
+                    storage::OnlineIndexBuilder* online, RetryPolicy* retry,
+                    std::vector<ValidatedTree>* trees,
+                    storage::IndexSetTransaction* txn, AimRunStats* stats);
+
 /// \brief AIM — the Automatic Index Manager (Algorithm 1).
 ///
 /// Typical use:
@@ -201,7 +218,13 @@ class AutomaticIndexManager {
   AutomaticIndexManager(storage::Database* db, optimizer::CostModel cm,
                         AimOptions options = {},
                         TuningResources resources = {})
-      : db_(db), cm_(cm), options_(options), resources_(resources) {}
+      : db_(db),
+        cm_(cm),
+        options_(options),
+        resources_(resources),
+        pool_(resources.shared_pool == nullptr && options.num_threads > 1
+                  ? std::make_unique<common::ThreadPool>(options.num_threads)
+                  : nullptr) {}
 
   /// Lines 1–2 + ranking of Algorithm 1 (no materialization). `monitor`
   /// may be null for pure bootstrap (weights drive the selection).
@@ -222,9 +245,12 @@ class AutomaticIndexManager {
       const workload::Workload& workload,
       const workload::WorkloadMonitor* monitor) const;
 
-  /// Lazily (re)builds the worker pool to match `options_.num_threads`.
-  /// Returns nullptr in serial mode.
-  common::ThreadPool* EnsurePool();
+  /// The shared pool when one was handed in, else the private pool built
+  /// at construction; nullptr in serial mode.
+  common::ThreadPool* pool() const {
+    return resources_.shared_pool != nullptr ? resources_.shared_pool
+                                             : pool_.get();
+  }
 
   /// The ordered apply path (`options_.deployment.ordered`): plans the
   /// build order via DeploymentPlanner, then installs each step in its

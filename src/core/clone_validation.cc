@@ -16,7 +16,8 @@ Result<CloneValidationResult> ValidateOnClone(
     const storage::Database& production,
     const std::vector<CandidateIndex>& selected,
     const std::vector<SelectedQuery>& queries, optimizer::CostModel cm,
-    const CloneValidationOptions& options, common::ThreadPool* pool) {
+    const CloneValidationOptions& options, common::ThreadPool* pool,
+    bool dedup_replay) {
   CloneValidationResult result;
   if (selected.empty()) return result;
 
@@ -53,7 +54,7 @@ Result<CloneValidationResult> ValidateOnClone(
     }
     std::unordered_map<uint64_t, size_t> first_by_fingerprint;
     for (size_t k = seg.begin; k < seg.end; ++k) {
-      if (options.dedup_replay) {
+      if (dedup_replay) {
         const uint64_t fp =
             optimizer::FingerprintStatement(queries[k].query->stmt);
         auto [it, inserted] = first_by_fingerprint.emplace(fp, k);
@@ -109,11 +110,8 @@ Result<CloneValidationResult> ValidateOnClone(
   std::vector<catalog::IndexDef> defs;
   defs.reserve(selected.size());
   for (const CandidateIndex& c : selected) {
-    catalog::IndexDef def = c.def;
-    def.hypothetical = false;
-    def.id = catalog::kInvalidIndex;
-    def.created_by_automation = true;
-    defs.push_back(std::move(def));
+    defs.push_back(c.def);
+    defs.back().hypothetical = false;  // built for real on the test clone
   }
   // Batch build: heap scans fan out over the pool, ids and adoption order
   // stay identical to the serial one-by-one path. Transient failures get
@@ -192,16 +190,12 @@ Result<CloneValidationResult> ValidateOnClone(
   }
 
   for (size_t i = 0; i < selected.size(); ++i) {
-    const catalog::IndexId id =
-        i < created.size() ? created[i] : catalog::kInvalidIndex;
-    const bool index_used =
-        id != catalog::kInvalidIndex && used.count(id) > 0;
-    if (!index_used && options.drop_unused) {
+    const catalog::IndexId id = created[i];
+    if (id == catalog::kInvalidIndex || used.count(id) == 0) {
       result.rejected_unused.push_back(selected[i]);
       continue;
     }
     result.accepted.push_back(selected[i]);
-    if (id == catalog::kInvalidIndex) continue;
     const catalog::TableId table = selected[i].def.table;
     Result<storage::BTreeIndex> tree = test.ReleaseIndex(id);
     if (!tree.ok()) continue;

@@ -18,8 +18,6 @@ struct CloneValidationOptions {
   double lambda2 = 0.05;
   /// Maximum tolerated per-query regression (Eq. 4).
   double lambda3 = 0.20;
-  /// Drop candidates no query plan actually uses on the clone.
-  bool drop_unused = true;
   /// Maximum tolerated fraction of replayed executions that fail. Above
   /// this the clone's evidence is considered unreliable: the whole
   /// candidate set is rejected and production stays unchanged (the
@@ -28,13 +26,6 @@ struct CloneValidationOptions {
   /// Retry knobs for transient failures while materializing candidates on
   /// the test clone.
   RetryOptions retry;
-  /// Execute each distinct statement once per DML-free replay segment and
-  /// share the outcome among its duplicates (multi-stream workloads repeat
-  /// statements verbatim). Sound because the executor is deterministic and
-  /// the clone state only changes at DML barriers; every duplicate still
-  /// contributes its own per-query validation record. Enabled by the
-  /// advisor alongside the what-if plan-cost cache.
-  bool dedup_replay = false;
   /// SELECT engine used for the before/after replay. The vectorized batch
   /// engine (default) and the row interpreter produce bit-identical rows
   /// and metrics; the knob exists so the equivalence suite can pin whole
@@ -67,8 +58,8 @@ struct ValidatedTree {
 struct CloneValidationResult {
   std::vector<CandidateIndex> accepted;
   /// One tree per accepted index the test clone materialized, in accepted
-  /// order. Large: callers move them out (RunOnce's apply adopts them) or
-  /// clear them rather than copy the result around.
+  /// order. Large: the apply moves them out and adopts them (InstallIndex)
+  /// rather than copy the result around.
   std::vector<ValidatedTree> trees;
   std::vector<CandidateIndex> rejected_unused;
   /// True when Eq. 3 holds (some query improved by ≥ λ₂).
@@ -113,15 +104,24 @@ struct CloneValidationResult {
 /// PhaseTimer: `validation.clone` (once per clone),
 /// `validation.control_replay`, `validation.build`, `validation.test_replay`.
 ///
-/// The accepted indexes' trees leave with the result (`trees`), together
-/// with the test clone's heap stamps, so that production can adopt rather
-/// than rebuild them.
+/// With `dedup_replay`, each distinct statement executes once per DML-free
+/// replay segment and its duplicates share the outcome (multi-stream
+/// workloads repeat statements verbatim). Sound because the executor is
+/// deterministic and the clone state only changes at DML barriers; every
+/// duplicate still contributes its own per-query validation record. The
+/// advisor turns it on with the what-if plan-cost cache
+/// (AimOptions::dedup_replay).
+///
+/// Candidates no query plan uses on the test clone are rejected
+/// (`rejected_unused`). The accepted indexes' trees leave with the result
+/// (`trees`), together with the test clone's heap stamps, so that
+/// production can adopt rather than rebuild them.
 Result<CloneValidationResult> ValidateOnClone(
     const storage::Database& production,
     const std::vector<CandidateIndex>& selected,
     const std::vector<SelectedQuery>& queries, optimizer::CostModel cm,
     const CloneValidationOptions& options = {},
-    common::ThreadPool* pool = nullptr);
+    common::ThreadPool* pool = nullptr, bool dedup_replay = false);
 
 }  // namespace aim::core
 

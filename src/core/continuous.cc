@@ -400,14 +400,13 @@ Status ContinuousTuner::TickInternal(
     auto it = usage_.find(idx->id);
     if (it == usage_.end()) continue;
     const UsageState& state = it->second;
-    if (options_.enable_drop &&
-        state.idle_intervals >= options_.drop_after_idle_intervals) {
+    if (state.idle_intervals >= options_.drop_after_idle_intervals) {
       AIM_RETURN_NOT_OK(txn->DropIndex(idx->id));
       report->dropped.push_back(*idx);
       usage_.erase(it);
       continue;
     }
-    if (options_.enable_shrink && state.max_used_prefix > 0 &&
+    if (state.max_used_prefix > 0 &&
         state.max_used_prefix < idx->columns.size() &&
         state.prefix_idle_intervals >=
             options_.shrink_after_idle_intervals) {

@@ -24,8 +24,6 @@ struct ContinuousTunerOptions {
   /// Shrink automation-created indexes whose trailing key parts go unused
   /// for this many intervals ("drop *parts of* unused indexes").
   int shrink_after_idle_intervals = 3;
-  bool enable_drop = true;
-  bool enable_shrink = true;
   /// Keep the what-if plan-cost cache alive across intervals instead of
   /// rebuilding it from zero every Tick. Sound because cache keys embed
   /// the index-configuration fingerprint (so DDL between intervals only

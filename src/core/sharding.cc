@@ -1,10 +1,6 @@
 #include "core/sharding.h"
 
-#include <algorithm>
-#include <chrono>
 #include <memory>
-#include <set>
-#include <string>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -13,26 +9,6 @@
 #include "storage/index_transaction.h"
 
 namespace aim::core {
-
-namespace {
-std::string Key(const catalog::IndexDef& def) {
-  std::string k = std::to_string(def.table);
-  for (catalog::ColumnId c : def.columns) k += ',' + std::to_string(c);
-  return k;
-}
-}  // namespace
-
-common::ThreadPool* ShardedIndexManager::EnsurePool() {
-  if (options_.aim.num_threads <= 1) {
-    pool_.reset();
-    return nullptr;
-  }
-  if (pool_ == nullptr ||
-      pool_->worker_count() != options_.aim.num_threads) {
-    pool_ = std::make_unique<common::ThreadPool>(options_.aim.num_threads);
-  }
-  return pool_.get();
-}
 
 Result<ShardedReport> ShardedIndexManager::Recommend(
     const workload::Workload& workload, const std::vector<Shard>& shards,
@@ -60,7 +36,9 @@ Result<ShardedReport> ShardedIndexManager::Recommend(
   // benefit comes from the aggregated statistics.
   aim_options.ranking.storage_replication_factor =
       static_cast<double>(shards.size());
-  AutomaticIndexManager aim(shards[0].db, cm, aim_options);
+  TuningResources resources;
+  resources.shared_pool = pool_.get();
+  AutomaticIndexManager aim(shards[0].db, cm, aim_options, resources);
   AIM_ASSIGN_OR_RETURN(report.aim,
                        aim.Recommend(workload,
                                      any_stats ? &aggregate : nullptr));
@@ -85,17 +63,12 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
   // regression detector to revert bad changes after the fact.
   const size_t shards_to_validate =
       options_.comprehensive_validation ? shards.size() : 1;
-  common::ThreadPool* pool = EnsurePool();
-  CloneValidationOptions validation_opts = options_.aim.validation;
-  validation_opts.dedup_replay = validation_opts.dedup_replay ||
-                                 options_.aim.what_if_cache_entries > 0;
+  common::ThreadPool* const pool = pool_.get();
 
-  // Fan the clone validations out over the pool, one slot per shard.
-  // When several shards validate concurrently each validation replays
-  // serially inside (a nested blocking fan-out on the same fixed-size
-  // pool can deadlock: every worker would block on futures only an
-  // occupied worker could run). With a single validated shard the pool
-  // is spent inside that one validation instead.
+  // Fan the clone validations out over the pool, one slot per shard. Each
+  // validation fans its replay and builds out over the same pool: a shard
+  // task waiting on them helps run them (common::ThreadPool), so the
+  // nested fan-out cannot deadlock.
   obs::PhaseTimer validate_timer(
       "sharded.validation",
       &report.aim.stats.shard_validation_seconds);
@@ -103,7 +76,6 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
   // explicit parent id: the thread-local span stack is empty on pool
   // threads, so auto-parenting would make them roots.
   const uint64_t validate_parent = validate_timer.span()->id();
-  const bool shard_fan_out = pool != nullptr && shards_to_validate > 1;
   std::vector<Result<CloneValidationResult>> outcomes(
       shards_to_validate,
       Result<CloneValidationResult>(Status::Internal("unresolved")));
@@ -119,14 +91,15 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
     }
     outcomes[si] = ValidateOnClone(
         *shards[si].db, report.aim.recommended,
-        report.aim.selected_workload, cm, validation_opts,
-        shard_fan_out ? nullptr : pool);
+        report.aim.selected_workload, cm, options_.aim.validation, pool,
+        options_.aim.dedup_replay());
     shard_span.SetAttr("ok", outcomes[si].ok());
   });
 
-  // Serial fold in shard order: the used-set, the regression veto, and
-  // the per-shard records never depend on completion order.
-  std::set<std::string> used_somewhere;
+  // Serial fold in shard order: the regression veto and the per-shard
+  // records never depend on completion order. Each validated shard's test
+  // clone trees stay with that shard, for its own apply to adopt.
+  std::vector<std::vector<ValidatedTree>> trees(shards.size());
   bool any_shard_regressed = false;
   for (size_t si = 0; si < shards_to_validate; ++si) {
     ShardValidation sv;
@@ -140,24 +113,28 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
       AIM_LOG(Warn) << "shard " << si << " lost during validation: "
                     << sv.error.ToString();
     } else {
-      CloneValidationResult vr = outcomes[si].MoveValue();
-      vr.trees.clear();  // shard clones' trees: the shard apply builds
-      for (const CandidateIndex& c : vr.accepted) {
-        used_somewhere.insert(Key(c.def));
-      }
-      any_shard_regressed = any_shard_regressed || !vr.no_regressions;
-      sv.result = std::move(vr);
+      sv.result = outcomes[si].MoveValue();
+      trees[si].swap(sv.result.trees);
+      any_shard_regressed = any_shard_regressed || !sv.result.no_regressions;
     }
     report.validations.push_back(std::move(sv));
   }
   validate_timer.span()->SetAttr("shards_lost", report.shards_lost);
   validate_timer.Stop();
 
+  auto used_somewhere = [&](const CandidateIndex& c) {
+    for (const ShardValidation& sv : report.validations) {
+      for (const CandidateIndex& used : sv.result.accepted) {
+        if (used.def == c.def) return true;
+      }
+    }
+    return false;
+  };
   std::vector<CandidateIndex> accepted;
   for (const CandidateIndex& c : report.aim.recommended) {
     // A whole-batch regression on any validated shard vetoes the change
     // (the conservative reading of Eq. 4 across shards).
-    if (!any_shard_regressed && used_somewhere.count(Key(c.def)) > 0) {
+    if (!any_shard_regressed && used_somewhere(c)) {
       accepted.push_back(c);
     } else {
       report.rejected_by_shards.push_back(c);
@@ -165,9 +142,10 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
   }
   report.aim.recommended = std::move(accepted);
 
-  // Common physical design: materialize the survivors on every shard.
-  // Shard transactions build concurrently (each touches only its own
-  // database) but commit together, serially, after every build has been
+  // Common physical design: install the survivors on every shard through
+  // AIM's own install step, so a validated shard adopts its clone's trees.
+  // Shard transactions install concurrently (each touches only its own
+  // database) but commit together, serially, after every install has been
   // checked in shard order — a failure anywhere rolls back every shard,
   // so the fleet never diverges into a mixed configuration.
   obs::PhaseTimer apply_timer("sharded.apply",
@@ -176,28 +154,27 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
   std::vector<std::unique_ptr<storage::IndexSetTransaction>> txns(
       shards.size());
   std::vector<Status> apply_status(shards.size());
+  std::vector<AimRunStats> apply_stats(shards.size());
   common::ParallelFor(pool, shards.size(), [&](size_t si) {
     obs::Span shard_span(obs::Tracer::Get(), "shard.apply", apply_parent);
     shard_span.SetAttr("shard", si);
     txns[si] =
         std::make_unique<storage::IndexSetTransaction>(shards[si].db);
+    RetryPolicy retry(options_.aim.validation.retry);
     for (const CandidateIndex& c : report.aim.recommended) {
-      catalog::IndexDef def = c.def;
-      def.id = catalog::kInvalidIndex;
-      def.hypothetical = false;
-      def.created_by_automation = true;
-      Result<catalog::IndexId> id = txns[si]->CreateIndex(std::move(def));
-      if (!id.ok() &&
-          id.status().code() != Status::Code::kAlreadyExists) {
-        apply_status[si] = id.status();
-        return;
-      }
+      apply_status[si] =
+          InstallIndex(c.def, shards[si].db, /*online=*/nullptr, &retry,
+                       &trees[si], txns[si].get(), &apply_stats[si]);
+      if (!apply_status[si].ok()) return;
     }
   });
   for (const Status& st : apply_status) {
     if (!st.ok()) return st;  // txn destructors roll back every shard
   }
-  for (auto& txn : txns) txn->Commit();
+  for (size_t si = 0; si < shards.size(); ++si) {
+    txns[si]->Commit();
+    report.aim.stats.indexes_adopted += apply_stats[si].indexes_adopted;
+  }
   apply_timer.Stop();
   return report;
 }

@@ -59,14 +59,15 @@ struct ShardedReport {
 /// benefits come from the aggregated statistics.
 ///
 /// With `aim.num_threads > 1`, RunOnce fans per-shard clone validation
-/// and the per-shard apply transactions over a worker pool. Validation
-/// outcomes land in per-shard slots and every decision — the used-on-
-/// some-shard set, the regression veto, the rejection list — is folded
-/// serially in shard order, so the report is bit-identical to a serial
-/// run at any thread count. When several shards validate concurrently,
-/// each shard's inner replay runs serially (nesting blocking fan-outs on
-/// one fixed-size pool can deadlock); the single-validated-shard default
-/// instead parallelizes inside the one validation.
+/// and the per-shard apply transactions over the manager's worker pool,
+/// the same pool the inner AutomaticIndexManager and every validation's
+/// replay fan out on (nested fan-out on one pool is deadlock-free, see
+/// common::ThreadPool). Validation outcomes land in per-shard slots and
+/// every decision — the used-on-some-shard set, the regression veto, the
+/// rejection list, the adoption count — is folded serially in shard order,
+/// so the report is bit-identical to a serial run at any thread count.
+/// Each shard installs the survivors through InstallIndex, adopting its
+/// own test clone's trees where it validated.
 ///
 /// A shard lost mid-validation (fault points `shard.validate` and
 /// `core.clone`) degrades the run instead of failing it:
@@ -77,7 +78,11 @@ struct ShardedReport {
 class ShardedIndexManager {
  public:
   explicit ShardedIndexManager(ShardedOptions options = {})
-      : options_(options) {}
+      : options_(options),
+        pool_(options.aim.num_threads > 1
+                  ? std::make_unique<common::ThreadPool>(
+                        options.aim.num_threads)
+                  : nullptr) {}
 
   /// Recommends one shared physical design for all shards.
   Result<ShardedReport> Recommend(const workload::Workload& workload,
@@ -91,11 +96,8 @@ class ShardedIndexManager {
                                 optimizer::CostModel cm);
 
  private:
-  /// Lazily (re)builds the shard fan-out pool to match
-  /// `options_.aim.num_threads`. Returns nullptr in serial mode.
-  common::ThreadPool* EnsurePool();
-
   ShardedOptions options_;
+  /// Built once for the manager's life; nullptr in serial mode.
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

@@ -60,17 +60,6 @@ catalog::TableId Database::CreateTable(catalog::TableDef def) {
   return id;
 }
 
-Status Database::LoadRows(catalog::TableId table, std::vector<Row> rows) {
-  AIM_FAULT_POINT("storage.load_rows");
-  if (table >= heaps_.size()) {
-    return Status::InvalidArgument("unknown table id");
-  }
-  for (auto& row : rows) {
-    AIM_RETURN_NOT_OK(InsertRow(table, std::move(row)).status());
-  }
-  return Status::OK();
-}
-
 Result<catalog::IndexId> Database::CreateIndex(catalog::IndexDef def) {
   AIM_FAULT_POINT("storage.create_index");
   const bool hypothetical = def.hypothetical;

@@ -60,9 +60,6 @@ class Database {
     return heaps_[table];
   }
 
-  /// Bulk-loads rows into a table (maintaining existing indexes).
-  Status LoadRows(catalog::TableId table, std::vector<Row> rows);
-
   /// Creates an index; materializes it by scanning the heap unless the
   /// definition is hypothetical. Returns the index id.
   Result<catalog::IndexId> CreateIndex(catalog::IndexDef def);

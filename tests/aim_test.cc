@@ -17,6 +17,7 @@
 namespace aim::core {
 namespace {
 
+using aim::testing::ExpectAutomationIndexesMatchFreshBuilds;
 using aim::testing::MakeOrdersDb;
 using aim::testing::MakeUsersDb;
 
@@ -184,61 +185,6 @@ TEST(AimTest, CloneValidationBuildsHypotheticalCandidatesReal) {
 }
 
 // ---------- Build-once apply ------------------------------------------------
-
-/// The row ids of an index in its scan order (key order, ties in
-/// insertion order); with the heap they determine every entry's key.
-std::vector<storage::RowId> EntryOrder(const storage::BTreeIndex& tree) {
-  std::vector<storage::RowId> rids;
-  tree.ScanAll([&](storage::RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  return rids;
-}
-
-/// Every automation index of `db` against a fresh build of the same
-/// definition on `reference` (a database with the same heaps): same
-/// entries, keys and tie order.
-void ExpectAutomationIndexesMatchFreshBuilds(const storage::Database& db,
-                                             storage::Database reference) {
-  size_t compared = 0;
-  for (const catalog::IndexDef* idx : db.catalog().AllIndexes(false, false)) {
-    if (!idx->created_by_automation) continue;
-    catalog::IndexDef def = *idx;
-    def.id = catalog::kInvalidIndex;
-    def.name.clear();
-    if (const catalog::IndexDef* old =
-            reference.catalog().FindIndex(def.table, def.columns)) {
-      ASSERT_TRUE(reference.DropIndex(old->id).ok());
-    }
-    Result<catalog::IndexId> fresh = reference.CreateIndex(def);
-    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-    const storage::BTreeIndex* tree = db.btree(idx->id);
-    const storage::BTreeIndex* expected = reference.btree(fresh.ValueOrDie());
-    ASSERT_NE(tree, nullptr);
-    ASSERT_NE(expected, nullptr);
-    EXPECT_EQ(tree->entry_count(), expected->entry_count());
-    EXPECT_EQ(tree->entry_count(), db.heap(idx->table).live_count());
-    const std::vector<storage::RowId> rids = EntryOrder(*tree);
-    ASSERT_EQ(rids, EntryOrder(*expected)) << db.catalog().DescribeIndex(*idx);
-    // The keys stored in the tree are the live rows' keys: a prefix scan
-    // on each row's own key finds that row.
-    for (storage::RowId rid : rids) {
-      ASSERT_TRUE(db.heap(idx->table).IsLive(rid));
-      const std::string key =
-          db.MakeIndexKey(*idx, db.heap(idx->table).row(rid));
-      bool found = false;
-      tree->ScanPrefix(key, std::nullopt, std::nullopt,
-                       [&](storage::RowId r) {
-                         found = found || r == rid;
-                         return !found;
-                       });
-      ASSERT_TRUE(found) << "rid " << rid;
-    }
-    ++compared;
-  }
-  EXPECT_GT(compared, 0u);
-}
 
 TEST(BuildOnceApplyTest, AdoptedTreesEqualFreshBuilds) {
   FaultRegistry::Instance().DisarmAll();

@@ -31,24 +31,8 @@
 namespace aim::core {
 namespace {
 
+using aim::testing::IndexSignature;
 using aim::testing::MakeUsersDb;
-
-/// Catalog-shape signature: one entry per live index (real and
-/// hypothetical), keyed by table + key parts + kind. Ids are excluded on
-/// purpose: rollback may rebuild an index under a fresh id, which is
-/// still the same configuration.
-std::multiset<std::string> IndexSignature(const storage::Database& db) {
-  std::multiset<std::string> sig;
-  for (const catalog::IndexDef* idx : db.catalog().AllIndexes(true, true)) {
-    std::string key = std::to_string(idx->table);
-    for (catalog::ColumnId c : idx->columns) {
-      key += ',' + std::to_string(c);
-    }
-    key += idx->hypothetical ? "|hypo" : "|real";
-    sig.insert(std::move(key));
-  }
-  return sig;
-}
 
 /// Structural invariants that must hold after EVERY interval, failed or
 /// not: no hypothetical index leaks into production, and every real

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "core/sharding.h"
 #include "executor/executor.h"
 #include "tests/test_util.h"
@@ -7,6 +8,8 @@
 namespace aim::core {
 namespace {
 
+using aim::testing::ExpectAutomationIndexesMatchFreshBuilds;
+using aim::testing::IndexSignature;
 using aim::testing::MakeUsersDb;
 
 /// Builds `n` schema-identical shards with different seeds (different row
@@ -159,6 +162,137 @@ TEST(ShardingTest, NoShardsIsAnError) {
   Result<ShardedReport> r =
       manager.Recommend(w, {}, optimizer::CostModel());
   EXPECT_FALSE(r.ok());
+}
+
+// ---------- Build-once sharded apply ----------------------------------------
+
+/// Read-only, so every validated shard's test clone keeps production's
+/// heaps and the apply can adopt its trees.
+workload::Workload ReadOnlyWorkload() {
+  workload::Workload w;
+  EXPECT_TRUE(w.Add("SELECT id FROM users WHERE org_id = 5", 100.0).ok());
+  EXPECT_TRUE(
+      w.Add("SELECT email FROM users WHERE status = 2 AND score > 500",
+            50.0)
+          .ok());
+  return w;
+}
+
+TEST(ShardedAdoptionTest, ComprehensiveValidationAdoptsOnEveryShard) {
+  FaultRegistry::Instance().DisarmAll();
+  for (int threads : {1, 4}) {
+    std::vector<storage::Database> dbs = MakeShards(3);
+    const std::vector<storage::Database> untouched = dbs;
+    ShardedOptions options;
+    options.comprehensive_validation = true;
+    options.aim.num_threads = threads;
+    ShardedIndexManager manager(options);
+    std::vector<Shard> shards = Wrap(&dbs);
+    Result<ShardedReport> r =
+        manager.RunOnce(ReadOnlyWorkload(), shards, optimizer::CostModel());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const ShardedReport& report = r.ValueOrDie();
+    const size_t applied = report.aim.recommended.size();
+    ASSERT_GE(applied, 1u);
+    // Every shard validated, so every shard adopts every applied index.
+    EXPECT_EQ(report.aim.stats.indexes_adopted, dbs.size() * applied)
+        << "threads=" << threads;
+    for (size_t i = 0; i < dbs.size(); ++i) {
+      EXPECT_TRUE(report.validations[i].result.trees.empty());
+      EXPECT_EQ(dbs[i].catalog().AllIndexes(false, false).size(), applied);
+      ExpectAutomationIndexesMatchFreshBuilds(dbs[i], untouched[i]);
+    }
+  }
+}
+
+TEST(ShardedAdoptionTest, DefaultValidationAdoptsOnShardZeroOnly) {
+  FaultRegistry::Instance().DisarmAll();
+  std::vector<storage::Database> dbs = MakeShards(3);
+  const std::vector<storage::Database> untouched = dbs;
+  ShardedIndexManager manager;
+  std::vector<Shard> shards = Wrap(&dbs);
+  Result<ShardedReport> r =
+      manager.RunOnce(ReadOnlyWorkload(), shards, optimizer::CostModel());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ShardedReport& report = r.ValueOrDie();
+  const size_t applied = report.aim.recommended.size();
+  ASSERT_GE(applied, 1u);
+  // Only shard 0 has a test clone to adopt from; the others build.
+  EXPECT_EQ(report.validations.size(), 1u);
+  EXPECT_EQ(report.aim.stats.indexes_adopted, applied);
+  for (size_t i = 0; i < dbs.size(); ++i) {
+    EXPECT_EQ(dbs[i].catalog().AllIndexes(false, false).size(), applied);
+    ExpectAutomationIndexesMatchFreshBuilds(dbs[i], untouched[i]);
+  }
+}
+
+TEST(ShardedAdoptionTest, FaultOnShardAdoptionRollsBackEveryShard) {
+  FaultRegistry::Instance().DisarmAll();
+  ShardedOptions options;
+  options.comprehensive_validation = true;  // serial: faults land in order
+  // Fault-free run: how many creates validation makes, and that every
+  // shard adopts every applied index.
+  size_t validated = 0;
+  size_t applied = 0;
+  {
+    std::vector<storage::Database> dbs = MakeShards(3);
+    ShardedIndexManager manager(options);
+    std::vector<Shard> shards = Wrap(&dbs);
+    Result<ShardedReport> r =
+        manager.RunOnce(ReadOnlyWorkload(), shards, optimizer::CostModel());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const ShardedReport& report = r.ValueOrDie();
+    applied = report.aim.recommended.size();
+    for (const ShardValidation& sv : report.validations) {
+      validated += sv.result.accepted.size() + sv.result.rejected_unused.size();
+    }
+    ASSERT_GE(applied, 1u);
+    ASSERT_EQ(report.aim.stats.indexes_adopted, 3 * applied);
+  }
+  // Validation crosses `storage.create_index` once per candidate and
+  // shard, then each shard's apply once per adoption, shard by shard.
+  for (size_t k = 0; k < 3; ++k) {
+    std::vector<storage::Database> dbs = MakeShards(3);
+    std::vector<std::multiset<std::string>> before;
+    for (const storage::Database& db : dbs) {
+      before.push_back(IndexSignature(db));
+    }
+    FaultSpec spec;
+    spec.code = Status::Code::kInternal;  // hard failure: no retry rescue
+    spec.skip = static_cast<int>(validated + k * applied + applied - 1);
+    spec.fail_times = 1;
+    ScopedFault fault("storage.create_index", spec);
+    ShardedIndexManager manager(options);
+    std::vector<Shard> shards = Wrap(&dbs);
+    Result<ShardedReport> r =
+        manager.RunOnce(ReadOnlyWorkload(), shards, optimizer::CostModel());
+    EXPECT_FALSE(r.ok()) << "k=" << k;
+    EXPECT_EQ(
+        FaultRegistry::Instance().stats("storage.create_index").triggers, 1u)
+        << "k=" << k;
+    for (size_t i = 0; i < dbs.size(); ++i) {
+      EXPECT_EQ(IndexSignature(dbs[i]), before[i])
+          << "k=" << k << " shard " << i;
+    }
+  }
+  // A transient fault on an adoption is retried with the tree intact, as
+  // in the single-database apply.
+  std::vector<storage::Database> dbs = MakeShards(3);
+  const std::vector<storage::Database> untouched = dbs;
+  FaultSpec transient;
+  transient.code = Status::Code::kUnavailable;
+  transient.skip = static_cast<int>(validated + applied);  // shard 1
+  transient.fail_times = 1;
+  ScopedFault fault("storage.create_index", transient);
+  ShardedIndexManager manager(options);
+  std::vector<Shard> shards = Wrap(&dbs);
+  Result<ShardedReport> r =
+      manager.RunOnce(ReadOnlyWorkload(), shards, optimizer::CostModel());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().aim.stats.indexes_adopted, 3 * applied);
+  for (size_t i = 0; i < dbs.size(); ++i) {
+    ExpectAutomationIndexesMatchFreshBuilds(dbs[i], untouched[i]);
+  }
 }
 
 TEST(RankingReplicationTest, FactorScalesBudgetConsumption) {
