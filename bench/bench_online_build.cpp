@@ -2,14 +2,22 @@
 // Measures what the robustness work actually buys: the write stall a
 // DDL imposes on concurrent OLTP clients. The blocking path holds the
 // exclusive latch for the whole heap scan; the online path's only
-// exclusive window is the bounded-tail swap. Emits the "online_build"
-// section of BENCH_results.json (write-stall seconds both ways, worst
-// client txn latency both ways, build throughput).
+// exclusive window is the bounded-tail swap. Also sweeps the online
+// tuner's per-tick snapshot: a copy of the live TPC-C database under the
+// exclusive latch at about 25k, 100k and 388k rows, and the writer's
+// first transaction after it, which copies the chunks and leaves it
+// writes. Emits the "online_build" section of BENCH_results.json
+// (write-stall seconds both ways, worst client txn latency both ways,
+// build throughput, the snapshot sweep). Run from the repo root.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
@@ -91,6 +99,70 @@ Result<uint64_t> IndexRows(storage::Database* db, catalog::IndexId id) {
   return tree->entry_count();
 }
 
+/// One size of the snapshot sweep (medians over kSnapshotSamples).
+struct SnapshotPoint {
+  uint64_t rows = 0;
+  double hold_seconds = 0.0;          // copy under the exclusive latch
+  double first_write_seconds = 0.0;   // NewOrder while the copy lives
+  double steady_write_seconds = 0.0;  // NewOrder with no copy alive
+};
+
+constexpr int kSnapshotSamples = 31;
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Times what ContinuousTuner::TickInternal's online snapshot costs the
+/// writer on a loaded TPC-C database: the copy under the exclusive latch,
+/// the first NewOrder afterwards (it copies every chunk and leaf it
+/// writes that the copy still shares) and, once the copy is gone, a
+/// NewOrder that writes in place.
+Result<SnapshotPoint> MeasureSnapshot(workload::TpccDatabase* tpcc) {
+  storage::Database& db = tpcc->db();
+  SnapshotPoint point;
+  for (catalog::TableId t = 0; t < db.catalog().table_count(); ++t) {
+    point.rows += db.heap(t).live_count();
+  }
+  Rng rng(3);
+  std::vector<double> hold, first, steady;
+  for (int i = 0; i < kSnapshotSamples; ++i) {
+    {
+      storage::Database snapshot;
+      const auto copy_begin = Clock::now();
+      {
+        std::unique_lock<std::shared_mutex> lock(db.latch());
+        snapshot = db;
+      }
+      hold.push_back(Seconds(copy_begin, Clock::now()));
+      const auto write_begin = Clock::now();
+      AIM_RETURN_NOT_OK(tpcc->NewOrder(&rng));
+      first.push_back(Seconds(write_begin, Clock::now()));
+    }
+    const auto write_begin = Clock::now();
+    AIM_RETURN_NOT_OK(tpcc->NewOrder(&rng));
+    steady.push_back(Seconds(write_begin, Clock::now()));
+  }
+  point.hold_seconds = Median(hold);
+  point.first_write_seconds = Median(first);
+  point.steady_write_seconds = Median(steady);
+  return point;
+}
+
+/// A JSON array of one field of every sweep point.
+template <typename Field>
+std::string JsonArray(const std::vector<SnapshotPoint>& points,
+                      Field field) {
+  std::string out = "[";
+  for (size_t i = 0; i < points.size(); ++i) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.9g", field(points[i]));
+    out += (i == 0 ? "" : ", ") + std::string(buf);
+  }
+  return out + "]";
+}
+
 }  // namespace
 
 int main() {
@@ -162,6 +234,42 @@ int main() {
       static_cast<unsigned long long>(o.delta_applied), online_throughput,
       o.stall_seconds > 0 ? b.stall_seconds / o.stall_seconds : 0.0);
 
+  // The snapshot sweep: ~25k, ~100k and ~388k rows. All three databases
+  // are loaded before any is timed. The copy's fixed part is the catalog
+  // copy, about 90 small allocations, and glibc malloc serves those 4-5x
+  // slower once a large load has fragmented the heap; loading first puts
+  // every size's copy on the same allocator state, so the sweep varies
+  // only the size of the database copied.
+  std::vector<std::unique_ptr<workload::TpccDatabase>> databases;
+  for (const int orders : {120, 500, 2000}) {
+    workload::TpccConfig config = BenchScale();
+    config.initial_orders_per_district = orders;
+    databases.push_back(std::make_unique<workload::TpccDatabase>(config));
+    const Status loaded = databases.back()->Load();
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "snapshot sweep load failed: %s\n",
+                   loaded.ToString().c_str());
+      return 1;
+    }
+  }
+  std::vector<SnapshotPoint> sweep;
+  for (const auto& tpcc : databases) {
+    Result<SnapshotPoint> point = MeasureSnapshot(tpcc.get());
+    if (!point.ok()) {
+      std::fprintf(stderr, "snapshot sweep failed: %s\n",
+                   point.status().ToString().c_str());
+      return 1;
+    }
+    sweep.push_back(point.ValueOrDie());
+  }
+  std::printf("\n%-10s %14s %18s %18s\n", "rows", "hold_ms",
+              "first_write_ms", "steady_write_ms");
+  for (const SnapshotPoint& p : sweep) {
+    std::printf("%-10llu %14.4f %18.4f %18.4f\n",
+                static_cast<unsigned long long>(p.rows), p.hold_seconds * 1e3,
+                p.first_write_seconds * 1e3, p.steady_write_seconds * 1e3);
+  }
+
   bench::JsonObject result;
   result.Add("clients", kClients)
       .Add("blocking_stall_seconds", b.stall_seconds)
@@ -177,6 +285,21 @@ int main() {
       .Add("online_delta_applied", o.delta_applied)
       .Add("online_rows_per_second", online_throughput)
       .Add("index_rows", o.rows)
+      .AddRaw("snapshot_rows",
+              JsonArray(sweep, [](const SnapshotPoint& p) {
+                return static_cast<double>(p.rows);
+              }))
+      .AddRaw("snapshot_hold_seconds",
+              JsonArray(sweep,
+                        [](const SnapshotPoint& p) { return p.hold_seconds; }))
+      .AddRaw("first_write_seconds",
+              JsonArray(sweep, [](const SnapshotPoint& p) {
+                return p.first_write_seconds;
+              }))
+      .AddRaw("steady_write_seconds",
+              JsonArray(sweep, [](const SnapshotPoint& p) {
+                return p.steady_write_seconds;
+              }))
       .AddRaw("run_meta", bench::RunMetadataJson(kClients));
   if (bench::WriteJsonSection("BENCH_results.json", "online_build",
                               result)) {

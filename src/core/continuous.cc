@@ -108,7 +108,11 @@ ContinuousTuner::ContinuousTuner(storage::Database* db,
       cm_(cm),
       options_(std::move(options)),
       cache_store_(cache_store),
-      pool_(pool) {
+      own_pool_(pool == nullptr && options_.aim.num_threads > 1
+                    ? std::make_unique<common::ThreadPool>(
+                          options_.aim.num_threads)
+                    : nullptr),
+      pool_(pool != nullptr ? pool : own_pool_.get()) {
   if (cache_store_ == nullptr && options_.carry_what_if_cache &&
       options_.aim.what_if_cache_entries > 0) {
     FleetCacheStoreOptions store;

@@ -181,8 +181,10 @@ class ContinuousTuner {
   /// `cache_store` supplies the carried what-if cache; its owner persists
   /// and trims it. Without one, the tuner owns a single-fingerprint store
   /// of `aim.what_if_cache_entries` entries when `carry_what_if_cache` is
-  /// on. Every run fans out on `pool` instead of a private one when it is
-  /// set. Both are borrowed, may be null, and must outlive the tuner.
+  /// on. Every run fans out on `pool` when it is set; without one, and
+  /// with `aim.num_threads > 1`, the tuner builds one pool of that size
+  /// for its life. Both are borrowed, may be null, and must outlive the
+  /// tuner.
   ContinuousTuner(storage::Database* db, optimizer::CostModel cm,
                   ContinuousTunerOptions options = {},
                   FleetCacheStore* cache_store = nullptr,
@@ -271,6 +273,9 @@ class ContinuousTuner {
   /// off); `cache_store_` points at whichever store is in use.
   std::unique_ptr<FleetCacheStore> own_cache_store_;
   FleetCacheStore* cache_store_;
+  /// The tuner's own pool (null when the caller passed one or runs are
+  /// serial); `pool_` points at whichever pool is in use.
+  std::unique_ptr<common::ThreadPool> own_pool_;
   common::ThreadPool* pool_;
   /// Carried per-cluster candidate-generation results (incremental
   /// candgen). Never explicitly invalidated: keys embed every input

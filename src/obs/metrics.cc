@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <cmath>
-#include <limits>
 #include <ostream>
 
 namespace aim::obs {
@@ -19,13 +17,6 @@ void Histogram::Observe(double v) {
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {
   }
-}
-
-double Histogram::BucketBound(int bucket) {
-  if (bucket >= kBuckets - 1) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return kLowestBound * std::pow(2.0, bucket);
 }
 
 void Histogram::Reset() {

@@ -64,8 +64,6 @@ class Histogram {
   uint64_t bucket_count(int bucket) const {
     return buckets_[bucket].load(std::memory_order_relaxed);
   }
-  /// Upper bound of `bucket` (+inf for the last).
-  static double BucketBound(int bucket);
   double mean() const {
     const uint64_t n = count();
     return n > 0 ? sum() / static_cast<double>(n) : 0.0;

@@ -127,20 +127,23 @@ void BTreeIndex::Leaf::Append(std::string_view key, RowId rid) {
 
 BTreeIndex::Pos BTreeIndex::LowerBound(std::string_view a,
                                        std::string_view b) const {
+  const Leaves& leaves = *leaves_;
   const auto leaf = std::partition_point(
-      leaves_.begin(), leaves_.end(),
-      [&](const Leaf& l) { return CompareConcat(l.last_key(), a, b) < 0; });
-  if (leaf == leaves_.end()) return Pos{leaves_.size(), 0};
-  const auto slot = std::partition_point(
-      leaf->slots.begin(), leaf->slots.end(), [&](const Slot& s) {
-        return CompareConcat(leaf->key(s), a, b) < 0;
+      leaves.begin(), leaves.end(), [&](const CowRef<Leaf>& l) {
+        return CompareConcat(l->last_key(), a, b) < 0;
       });
-  return Pos{static_cast<size_t>(leaf - leaves_.begin()),
-             static_cast<size_t>(slot - leaf->slots.begin())};
+  if (leaf == leaves.end()) return Pos{leaves.size(), 0};
+  const Leaf& found = **leaf;
+  const auto slot = std::partition_point(
+      found.slots.begin(), found.slots.end(), [&](const Slot& s) {
+        return CompareConcat(found.key(s), a, b) < 0;
+      });
+  return Pos{static_cast<size_t>(leaf - leaves.begin()),
+             static_cast<size_t>(slot - found.slots.begin())};
 }
 
 void BTreeIndex::Advance(Pos* pos) const {
-  if (++pos->slot == leaves_[pos->leaf].slots.size()) {
+  if (++pos->slot == (*leaves_)[pos->leaf]->slots.size()) {
     ++pos->leaf;
     pos->slot = 0;
   }
@@ -148,17 +151,18 @@ void BTreeIndex::Advance(Pos* pos) const {
 
 void BTreeIndex::Insert(std::string_view key, RowId rid) {
   ++size_;
-  if (leaves_.empty()) {
-    leaves_.emplace_back().Append(key, rid);
+  Leaves& leaves = leaves_.Mutable();
+  if (leaves.empty()) {
+    leaves.emplace_back().Mutable().Append(key, rid);
     return;
   }
   // The upper bound of `key`'s equal run: the first leaf whose last key
   // sorts after it (else the last leaf), after every equal key in it.
   auto it = std::partition_point(
-      leaves_.begin(), leaves_.end(),
-      [&](const Leaf& l) { return l.last_key() <= key; });
-  if (it == leaves_.end()) --it;
-  Leaf& leaf = *it;
+      leaves.begin(), leaves.end(),
+      [&](const CowRef<Leaf>& l) { return l->last_key() <= key; });
+  if (it == leaves.end()) --it;
+  Leaf& leaf = it->Mutable();
   const size_t n = leaf.slots.size();
   const auto slot = std::partition_point(
       leaf.slots.begin(), leaf.slots.end(),
@@ -167,23 +171,25 @@ void BTreeIndex::Insert(std::string_view key, RowId rid) {
   leaf.slots.insert(slot, Slot{leaf.keys.size(), key.size(), rid});
   leaf.keys.append(key);
   if (leaf.slots.size() > kLeafCapacity) {
-    const size_t index = static_cast<size_t>(it - leaves_.begin());
+    const size_t index = static_cast<size_t>(it - leaves.begin());
     // An append to the end of the tree (ascending keys) starts a new
     // leaf instead of leaving two half-full ones behind.
-    SplitLeaf(index, index + 1 == leaves_.size() && at_end ? n : n / 2);
+    SplitLeaf(index, index + 1 == leaves.size() && at_end ? n : n / 2);
   }
 }
 
 bool BTreeIndex::Erase(std::string_view key, RowId rid) {
-  for (Pos pos = LowerBound(key); pos.leaf < leaves_.size(); Advance(&pos)) {
-    Leaf& leaf = leaves_[pos.leaf];
-    if (leaf.key(pos.slot) != key) return false;
-    if (leaf.slots[pos.slot].rid != rid) continue;
+  for (Pos pos = LowerBound(key); pos.leaf < leaves_->size(); Advance(&pos)) {
+    const Leaf& found = *(*leaves_)[pos.leaf];
+    if (found.key(pos.slot) != key) return false;
+    if (found.slots[pos.slot].rid != rid) continue;
+    Leaves& leaves = leaves_.Mutable();
+    Leaf& leaf = leaves[pos.leaf].Mutable();
     leaf.dead_bytes += leaf.slots[pos.slot].size;
     leaf.slots.erase(leaf.slots.begin() + pos.slot);
     --size_;
     if (leaf.slots.empty()) {
-      leaves_.erase(leaves_.begin() + pos.leaf);
+      leaves.erase(leaves.begin() + pos.leaf);
     } else if (leaf.dead_bytes > leaf.keys.size() / 2) {
       CompactLeaf(&leaf);
     }
@@ -193,16 +199,15 @@ bool BTreeIndex::Erase(std::string_view key, RowId rid) {
 }
 
 void BTreeIndex::SplitLeaf(size_t index, size_t keep) {
+  Leaves& leaves = leaves_.Mutable();
   Leaf right;
-  {
-    Leaf& full = leaves_[index];
-    for (size_t s = keep; s < full.slots.size(); ++s) {
-      right.Append(full.key(s), full.slots[s].rid);
-    }
-    full.slots.resize(keep);
-    CompactLeaf(&full);
+  Leaf& full = leaves[index].Mutable();
+  for (size_t s = keep; s < full.slots.size(); ++s) {
+    right.Append(full.key(s), full.slots[s].rid);
   }
-  leaves_.insert(leaves_.begin() + index + 1, std::move(right));
+  full.slots.resize(keep);
+  CompactLeaf(&full);
+  leaves.insert(leaves.begin() + index + 1, CowRef<Leaf>(std::move(right)));
 }
 
 void BTreeIndex::CompactLeaf(Leaf* leaf) {
@@ -219,24 +224,27 @@ void BTreeIndex::CompactLeaf(Leaf* leaf) {
 template <typename OnHit>
 bool BTreeIndex::Walk(Pos pos, std::string_view prefix, const Range& range,
                       uint64_t* visited, OnHit&& on_hit) const {
-  for (; pos.leaf < leaves_.size(); Advance(&pos)) {
-    const Leaf& leaf = leaves_[pos.leaf];
-    const std::string_view key = leaf.key(pos.slot);
-    if (!key.starts_with(prefix)) return true;
-    const std::string_view next = key.substr(prefix.size());
-    if (!next.empty()) {
-      if (range.has_lower && !range.lower_inclusive &&
-          ComparePart(next, range.lower) == 0) {
-        ++*visited;  // the entry is touched before being rejected
-        continue;
+  const Leaves& leaves = *leaves_;
+  for (; pos.leaf < leaves.size(); ++pos.leaf, pos.slot = 0) {
+    const Leaf& leaf = *leaves[pos.leaf];
+    for (; pos.slot < leaf.slots.size(); ++pos.slot) {
+      const std::string_view key = leaf.key(pos.slot);
+      if (!key.starts_with(prefix)) return true;
+      const std::string_view next = key.substr(prefix.size());
+      if (!next.empty()) {
+        if (range.has_lower && !range.lower_inclusive &&
+            ComparePart(next, range.lower) == 0) {
+          ++*visited;  // the entry is touched before being rejected
+          continue;
+        }
+        if (range.has_upper) {
+          const int c = ComparePart(next, range.upper);
+          if (c > 0 || (c == 0 && !range.upper_inclusive)) return true;
+        }
       }
-      if (range.has_upper) {
-        const int c = ComparePart(next, range.upper);
-        if (c > 0 || (c == 0 && !range.upper_inclusive)) return true;
-      }
+      ++*visited;
+      if (!on_hit(leaf.slots[pos.slot].rid, *visited)) return false;
     }
-    ++*visited;
-    if (!on_hit(leaf.slots[pos.slot].rid, *visited)) return false;
   }
   return true;
 }
@@ -247,8 +255,8 @@ uint64_t BTreeIndex::WalkSkip(size_t skip_width, const Range& range,
   uint64_t visited = 0;
   *groups = 0;
   Pos pos;
-  while (pos.leaf < leaves_.size()) {
-    const std::string_view key = leaves_[pos.leaf].key(pos.slot);
+  while (pos.leaf < leaves_->size()) {
+    const std::string_view key = (*leaves_)[pos.leaf]->key(pos.slot);
     const size_t group_bytes = PartsLength(key, skip_width);
     if (group_bytes == std::string_view::npos) {
       Advance(&pos);
@@ -394,10 +402,11 @@ BTreeIndex BTreeBuilder::Finish() && {
   BTreeIndex tree;
   tree.size_ = order.size();
   const size_t cap = BTreeIndex::kLeafCapacity;
-  tree.leaves_.reserve((order.size() + cap - 1) / cap);
+  BTreeIndex::Leaves& leaves = tree.leaves_.Mutable();
+  leaves.reserve((order.size() + cap - 1) / cap);
   for (size_t begin = 0; begin < order.size(); begin += cap) {
     const size_t end = std::min(begin + cap, order.size());
-    BTreeIndex::Leaf& leaf = tree.leaves_.emplace_back();
+    BTreeIndex::Leaf& leaf = leaves.emplace_back().Mutable();
     size_t bytes = 0;
     for (size_t k = begin; k < end; ++k) bytes += pending_[order[k].seq].size;
     leaf.keys.reserve(bytes);

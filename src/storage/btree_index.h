@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "storage/cow.h"
 #include "storage/row.h"
 
 namespace aim::storage {
@@ -46,8 +47,12 @@ struct ProbeSpan {
 /// one byte arena; the root is the array of leaves, searched by each
 /// leaf's last key, which serves as its separator. Equal keys keep
 /// insertion order: Insert places a key after every equal key already
-/// present, and BTreeBuilder sorts by (key, insertion sequence). Copies
-/// are array copies and destruction frees leaves, not one node per entry.
+/// present, and BTreeBuilder sorts by (key, insertion sequence).
+///
+/// The root and each leaf are copy-on-write (storage/cow.h): a copy shares
+/// the root and through it every leaf, so it costs one counter increment.
+/// Insert and Erase on either side afterwards copy the root and only the
+/// leaves they write (DESIGN.md §17); scans and gathers only read.
 class BTreeIndex {
  public:
   using Visitor = std::function<bool(RowId rid)>;
@@ -149,7 +154,8 @@ class BTreeIndex {
     std::string_view last_key() const { return key(slots.back()); }
     void Append(std::string_view key, RowId rid);
   };
-  /// A cursor position; leaf == leaves_.size() is the end.
+  using Leaves = std::vector<CowRef<Leaf>>;
+  /// A cursor position; leaf == leaves_->size() is the end.
   struct Pos {
     size_t leaf = 0;
     size_t slot = 0;
@@ -172,9 +178,9 @@ class BTreeIndex {
   /// Moves slots [keep, end) of leaf `index` into a new leaf after it.
   void SplitLeaf(size_t index, size_t keep);
   /// Drops the arena's dead bytes.
-  void CompactLeaf(Leaf* leaf);
+  static void CompactLeaf(Leaf* leaf);
 
-  std::vector<Leaf> leaves_;  // never empty leaves
+  CowRef<Leaves> leaves_;  // never empty leaves
   uint64_t size_ = 0;
 };
 

@@ -44,7 +44,10 @@ using DmlHook = std::function<void(DmlOp op, catalog::TableId table, RowId rid)>
 class Database {
  public:
   Database() = default;
-  // Deep-copyable for clone validation and online snapshots.
+  /// Copies share every heap chunk and B+Tree leaf with their source and
+  /// copy a chunk or leaf only when either side first writes it (DESIGN.md
+  /// §17), so the online snapshot and the validation and shard clones
+  /// cost O(tables + indexes) plus the catalog.
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&&) = default;

@@ -1,5 +1,6 @@
 #include "storage/heap_table.h"
 
+#include <algorithm>
 #include <atomic>
 
 namespace aim::storage {
@@ -15,18 +16,22 @@ uint64_t NextStamp() {
 }  // namespace
 
 RowId HeapTable::Insert(Row row) {
-  rows_.push_back(std::move(row));
-  deleted_.push_back(false);
+  const RowId rid = slot_count_++;
+  std::vector<CowRef<Chunk>>& chunks = chunks_.Mutable();
+  if ((rid & kSlotMask) == 0) {
+    chunks.emplace_back().Mutable().rows.reserve(kChunkRows);
+  }
+  chunks.back().Mutable().rows.push_back(std::move(row));
   ++live_count_;
   stamp_ = NextStamp();
-  return rows_.size() - 1;
+  return rid;
 }
 
 Status HeapTable::Update(RowId rid, Row row) {
   if (!IsLive(rid)) {
     return Status::NotFound("update of dead row " + std::to_string(rid));
   }
-  rows_[rid] = std::move(row);
+  MutableChunk(rid).rows[rid & kSlotMask] = std::move(row);
   stamp_ = NextStamp();
   return Status::OK();
 }
@@ -35,19 +40,35 @@ Status HeapTable::Delete(RowId rid) {
   if (!IsLive(rid)) {
     return Status::NotFound("delete of dead row " + std::to_string(rid));
   }
-  deleted_[rid] = true;
+  MutableChunk(rid).deleted[rid & kSlotMask] = true;
   --live_count_;
   stamp_ = NextStamp();
   return Status::OK();
 }
 
+template <typename Visit>
+bool HeapTable::WalkChunk(RowId* rid, Visit&& visit) const {
+  const Chunk& c = chunk(*rid);
+  const RowId end = std::min(slot_count_, (*rid | kSlotMask) + 1);
+  for (; *rid < end; ++*rid) {
+    if (c.deleted[*rid & kSlotMask]) continue;
+    if (!visit(*rid, c.rows[*rid & kSlotMask])) {
+      ++*rid;
+      return false;
+    }
+  }
+  return true;
+}
+
 uint64_t HeapTable::Scan(
     const std::function<bool(RowId, const Row&)>& visitor) const {
   uint64_t visited = 0;
-  for (RowId rid = 0; rid < rows_.size(); ++rid) {
-    if (deleted_[rid]) continue;
-    ++visited;
-    if (!visitor(rid, rows_[rid])) break;
+  for (RowId rid = 0; rid < slot_count_;) {
+    const bool go_on = WalkChunk(&rid, [&](RowId r, const Row& row) {
+      ++visited;
+      return visitor(r, row);
+    });
+    if (!go_on) break;
   }
   return visited;
 }
@@ -55,13 +76,12 @@ uint64_t HeapTable::Scan(
 size_t HeapTable::ScanChunk(RowId* cursor, size_t max_rows,
                             std::vector<const Row*>* out) const {
   size_t appended = 0;
-  RowId rid = *cursor;
-  for (; rid < rows_.size() && appended < max_rows; ++rid) {
-    if (deleted_[rid]) continue;
-    out->push_back(&rows_[rid]);
-    ++appended;
+  while (*cursor < slot_count_ && appended < max_rows) {
+    WalkChunk(cursor, [&](RowId, const Row& row) {
+      out->push_back(&row);
+      return ++appended < max_rows;
+    });
   }
-  *cursor = rid;
   return appended;
 }
 

@@ -547,6 +547,42 @@ TEST(ContinuousTest, CacheInvalidatedWhenStatisticsDrift) {
   EXPECT_GT(third.ValueOrDie().cache_entries_carried, 0u);
 }
 
+/// Kernel ids of this process's live threads. Unlike std::thread::id,
+/// which glibc recycles with cached thread stacks, a kernel id names one
+/// thread: a pool rebuilt per tick shows up as new ids.
+std::set<std::string> LiveThreadIds() {
+  std::set<std::string> ids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(task.path().filename().string());
+  }
+  return ids;
+}
+
+TEST(ContinuousTest, StandaloneTunerBuildsItsPoolOnce) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to list threads from";
+  }
+  storage::Database db = MakeUsersDb(2000);
+  const workload::Workload w = SimpleWorkload();
+  ContinuousTunerOptions options;
+  options.aim.num_threads = 3;
+  const std::set<std::string> before = LiveThreadIds();
+  ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+  std::set<std::string> workers;
+  for (int k = 0; k < 4; ++k) {
+    ASSERT_TRUE(tuner.Tick(w, nullptr).ok());
+    std::set<std::string> since_tuner;
+    for (const std::string& id : LiveThreadIds()) {
+      if (before.count(id) == 0) since_tuner.insert(id);
+    }
+    if (k == 0) workers = since_tuner;
+    // The same workers serve every tick and outlive it.
+    EXPECT_EQ(since_tuner, workers) << "after tick " << k;
+  }
+  EXPECT_EQ(workers.size(), 3u);
+}
+
 TEST(ContinuousTest, CacheSnapshotWarmStartsAcrossTunerInstances) {
   FleetCacheStoreOptions store_options;
   store_options.snapshot_dir = ::testing::TempDir() + "/tuner_whatif_cache";

@@ -13,6 +13,10 @@ Validates the performance contracts the benchmarks exist to defend:
   executor_batch        vectorized batch engine >= 2x over the
                         row-at-a-time interpreter (single-thread
                         vectorization win; holds on 1-core boxes too).
+  online_build          the online tuner's snapshot (a copy of the live
+                        TPC-C database under the exclusive latch) is
+                        flat in the data size: its hold at the largest
+                        swept size is <= 2x the hold at the smallest.
   exploration           ordered deployment reaches 50% of the modeled
                         benefit >= 1.2x earlier than the single-
                         transaction apply, per-interval projected regret
@@ -122,11 +126,25 @@ def gate_exploration(results):
           f"applied)")
 
 
+def gate_online_build(results):
+    s = results["online_build"]
+    require_run_meta(results, "online_build")
+    rows = s.get("snapshot_rows", [])
+    hold = s.get("snapshot_hold_seconds", [])
+    ok = len(rows) >= 2 and len(rows) == len(hold) and hold[0] > 0
+    ratio = hold[-1] / hold[0] if ok else float("inf")
+    check("online_build", "snapshot_hold_flat", ok and ratio <= 2.0,
+          f"hold {ratio:.2f}x from {rows[0] if rows else '?'} to "
+          f"{rows[-1] if rows else '?'} rows (ceiling 2x: a snapshot "
+          f"shares chunks and leaves instead of copying them)")
+
+
 GATES = {
     "fleet_tuning": gate_fleet,
     "workload_compression": gate_compression,
     "executor_batch": gate_executor,
     "exploration": gate_exploration,
+    "online_build": gate_online_build,
 }
 
 
