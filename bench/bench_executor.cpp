@@ -1,10 +1,10 @@
-// Row-at-a-time interpreter vs vectorized batch engine on the
-// clone-validation replay workload: the 22 TPC-H templates executed
-// against an AIM-tuned configuration, exactly what ValidateOnClone
-// replays on its control/test clones. Reports wall seconds, replay
-// throughput (statements/s and produced rows/s), the speedup, and the
-// batch engine's per-operator traffic. Emits BENCH_results.json
-// [executor_batch].
+// Row-at-a-time interpreter (the batch suite's oracle, tests/row_oracle.h)
+// vs vectorized batch engine on the clone-validation replay workload: the
+// 22 TPC-H templates executed against an AIM-tuned configuration, exactly
+// what ValidateOnClone replays on its control/test clones. Reports wall
+// seconds, replay throughput (statements/s and produced rows/s), the
+// speedup, and the batch engine's per-operator traffic. Emits
+// BENCH_results.json [executor_batch].
 #include <chrono>
 #include <cstdio>
 
@@ -12,6 +12,7 @@
 #include "bench/bench_util.h"
 #include "core/aim.h"
 #include "executor/executor.h"
+#include "tests/row_oracle.h"
 #include "workload/tpch.h"
 
 using namespace aim;
@@ -25,14 +26,14 @@ struct ReplayStats {
   executor::ExecutionMetrics metrics;  // summed over every execution
 };
 
-/// Replays the workload `repeats` times under one engine, accumulating
-/// metrics. The queries are read-only, so repeated replay on the same
-/// database is exactly the clone-validation access pattern.
+/// Replays the workload `repeats` times on one engine (executor::Executor
+/// or testing::RowOracle), accumulating metrics. The queries are
+/// read-only, so repeated replay on the same database is exactly the
+/// clone-validation access pattern.
+template <typename Engine>
 ReplayStats Replay(storage::Database* db, const workload::Workload& w,
-                   executor::EngineKind engine, int repeats) {
-  executor::ExecutorOptions options;
-  options.engine = engine;
-  executor::Executor exec(db, optimizer::CostModel(), options);
+                   int repeats) {
+  Engine exec(db, optimizer::CostModel());
   ReplayStats out;
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < repeats; ++r) {
@@ -106,12 +107,11 @@ int main() {
 
   constexpr int kRepeats = 6;
   // Warm both paths once (page in heaps/indexes) before timing.
-  Replay(&db, w.ValueOrDie(), executor::EngineKind::kBatch, 1);
+  Replay<executor::Executor>(&db, w.ValueOrDie(), 1);
   const ReplayStats row =
-      Replay(&db, w.ValueOrDie(), executor::EngineKind::kRowAtATime,
-             kRepeats);
+      Replay<testing::RowOracle>(&db, w.ValueOrDie(), kRepeats);
   const ReplayStats batch =
-      Replay(&db, w.ValueOrDie(), executor::EngineKind::kBatch, kRepeats);
+      Replay<executor::Executor>(&db, w.ValueOrDie(), kRepeats);
 
   const double speedup = batch.seconds > 0 ? row.seconds / batch.seconds : 0;
   std::printf("%-14s %8.3fs  %9.0f stmts/s  %12.0f rows/s\n", "row engine",

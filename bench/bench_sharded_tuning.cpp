@@ -1,8 +1,9 @@
 // Sharded tuning at fleet scale: (1) per-shard clone validation fanned
 // out over the worker pool vs the serial shard loop, on a 4-shard TPC-H
-// fleet with comprehensive validation; (2) the continuous tuner's
-// cross-interval what-if cache carry — interval-2 hit rate and runtime,
-// warm vs cold. Emits the "sharded_tuning" section of BENCH_results.json.
+// fleet with comprehensive validation, both with the what-if cache on;
+// (2) the continuous tuner's cross-interval what-if cache carry —
+// interval-2 hit rate and runtime, warm vs cold. Emits the
+// "sharded_tuning" section of BENCH_results.json.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -183,8 +184,10 @@ int main() {
   // would otherwise be billed to whichever config runs first.
   (void)RunShardedOnce(db, w, kShards, /*threads=*/4,
                        /*cache_entries=*/4096);
+  // Both sides run with the same what-if cache (and so the same replay
+  // dedup): the speedups measure the shard fan-out only.
   Result<ShardedRun> serial = RunSharded(db, w, kShards, /*threads=*/1,
-                                         /*cache_entries=*/0, kRuns);
+                                         /*cache_entries=*/4096, kRuns);
   Result<ShardedRun> parallel = RunSharded(db, w, kShards, /*threads=*/4,
                                            /*cache_entries=*/4096, kRuns);
   if (!serial.ok() || !parallel.ok()) {

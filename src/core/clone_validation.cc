@@ -72,12 +72,10 @@ Result<CloneValidationResult> ValidateOnClone(
   // Each clone replays the whole workload on its own; outcomes land in
   // per-query slots and the evidence below is accumulated serially in
   // workload order — bit-identical to the serial path.
-  executor::ExecutorOptions exec_options;
-  exec_options.engine = options.replay_engine;
   using Outcome = Result<executor::ExecutionMetrics>;
   auto replay = [&](storage::Database* db, const char* phase) {
     obs::PhaseTimer timer(phase);
-    executor::Executor exec(db, cm, exec_options);
+    executor::Executor exec(db, cm);
     std::vector<Outcome> out(queries.size(),
                              Outcome(Status::Internal("not replayed")));
     for (const Segment& seg : segments) {

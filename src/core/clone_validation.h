@@ -6,7 +6,6 @@
 #include "common/retry.h"
 #include "common/thread_pool.h"
 #include "core/ranking.h"
-#include "executor/metrics.h"
 #include "storage/database.h"
 
 namespace aim::core {
@@ -26,11 +25,6 @@ struct CloneValidationOptions {
   /// Retry knobs for transient failures while materializing candidates on
   /// the test clone.
   RetryOptions retry;
-  /// SELECT engine used for the before/after replay. The vectorized batch
-  /// engine (default) and the row interpreter produce bit-identical rows
-  /// and metrics; the knob exists so the equivalence suite can pin whole
-  /// validation pipelines against each other.
-  executor::EngineKind replay_engine = executor::EngineKind::kBatch;
 };
 
 /// Per-query before/after record from the clone replay.

@@ -7,6 +7,8 @@ namespace aim::executor {
 using sql::Expr;
 using sql::Value;
 using storage::Row;
+using storage::SlotRef;
+using storage::ValueView;
 
 Value AggState::Final(sql::AggFunc func) const {
   switch (func) {
@@ -18,9 +20,9 @@ Value AggState::Final(sql::AggFunc func) const {
       return count == 0 ? Value::Null()
                         : Value::Real(sum / static_cast<double>(count));
     case sql::AggFunc::kMin:
-      return has_minmax ? min : Value::Null();
+      return has_minmax ? min.ToValue() : Value::Null();
     case sql::AggFunc::kMax:
-      return has_minmax ? max : Value::Null();
+      return has_minmax ? max.ToValue() : Value::Null();
     case sql::AggFunc::kNone:
       break;
   }
@@ -48,6 +50,8 @@ SelectSink::SelectSink(const sql::SelectStatement& select,
       case Expr::Kind::kAggregate:
         it.kind = Item::Kind::kAggregate;
         it.agg = item->agg;
+        it.min_max =
+            it.agg == sql::AggFunc::kMin || it.agg == sql::AggFunc::kMax;
         if (item->children.empty() ||
             item->children[0]->kind == Expr::Kind::kStar) {
           it.count_star = true;
@@ -85,15 +89,16 @@ SelectSink::SelectSink(const sql::SelectStatement& select,
   }
 }
 
-Row SelectSink::Project(const Row* const* bound) const {
+Row SelectSink::Project(const SlotRef* bound) const {
   Row out;
   for (const auto& it : items_) {
     switch (it.kind) {
       case Item::Kind::kStar: {
         for (size_t i = 0; i < num_instances_; ++i) {
-          const Row* row = bound[i];
-          if (row != nullptr) {
-            out.insert(out.end(), row->begin(), row->end());
+          const SlotRef& ref = bound[i];
+          if (ref.chunk == nullptr) continue;
+          for (size_t c = 0; c < ref.chunk->lanes.size(); ++c) {
+            out.push_back(ref.value(c).ToValue());
           }
         }
         break;
@@ -102,8 +107,8 @@ Row SelectSink::Project(const Row* const* bound) const {
         out.push_back(Value::Null());  // filled during finalization
         break;
       case Item::Kind::kValue: {
-        const Value* v = it.value.Get(bound);
-        out.push_back(v != nullptr ? *v : Value::Null());
+        ValueView v;
+        out.push_back(it.value.Get(bound, &v) ? v.ToValue() : Value::Null());
         break;
       }
     }
@@ -111,34 +116,44 @@ Row SelectSink::Project(const Row* const* bound) const {
   return out;
 }
 
-bool SelectSink::Emit(const Row* const* bound) {
+bool SelectSink::Emit(const SlotRef* bound) {
   ++rows_emitted_;
   if (grouped_) {
-    Row key;
-    key.reserve(group_exprs_.size());
+    key_.clear();
     for (const auto& g : group_exprs_) {
-      const Value* v = g.Get(bound);
-      key.push_back(v != nullptr ? *v : Value::Null());
+      ValueView v;
+      if (!g.Get(bound, &v)) v = ValueView{};
+      storage::AppendKeyPart(v, &key_);
     }
-    auto [it, inserted] = groups_.try_emplace(key, items_.size());
-    if (inserted) group_first_values_.emplace(key, Project(bound));
+    auto it = groups_.find(key_);
+    if (it == groups_.end()) {
+      it = groups_.emplace(key_, Group{std::vector<AggState>(items_.size()),
+                                       Project(bound)})
+               .first;
+    }
+    std::vector<AggState>& states = it->second.states;
     for (size_t i = 0; i < items_.size(); ++i) {
       const Item& item = items_[i];
       if (item.kind != Item::Kind::kAggregate) continue;
+      ValueView v;
       if (item.count_star) {
-        it->second[i].Add(Value::Int(1));
-      } else {
-        const Value* v = item.value.Get(bound);
-        it->second[i].Add(v != nullptr ? *v : Value::Null());
+        v.kind = Value::Kind::kInt64;
+        v.bits = 1;
+      } else if (!item.value.Get(bound, &v)) {
+        v = ValueView{};
       }
+      states[i].Add(v, item.min_max);
     }
     return true;
   }
+  // The sort key is read only by Finalize's sort.
   Row key;
-  key.reserve(order_exprs_.size());
-  for (const auto& o : order_exprs_) {
-    const Value* v = o.Get(bound);
-    key.push_back(v != nullptr ? *v : Value::Null());
+  if (needs_sort_) {
+    key.reserve(order_exprs_.size());
+    for (const auto& o : order_exprs_) {
+      ValueView v;
+      key.push_back(o.Get(bound, &v) ? v.ToValue() : Value::Null());
+    }
   }
   ungrouped_.emplace_back(std::move(key), Project(bound));
   ++emitted_;
@@ -150,17 +165,17 @@ void SelectSink::Finalize(std::vector<Row>* out) {
   const optimizer::CostModel& cm = ctx_->cm();
   if (grouped_) {
     out->reserve(out->size() + groups_.size());
-    for (auto& [key, states] : groups_) {
-      Row row = group_first_values_[key];
+    for (auto& [key, group] : groups_) {
+      Row row = std::move(group.first_values);
       for (size_t i = 0; i < items_.size(); ++i) {
         if (items_[i].kind == Item::Kind::kAggregate) {
-          row[i] = states[i].Final(items_[i].agg);
+          row[i] = group.states[i].Final(items_[i].agg);
         }
       }
       out->push_back(std::move(row));
     }
-    // Grouping via std::map is already in group-key order; an explicit
-    // ORDER BY on other columns is not supported for grouped queries.
+    // Groups are already in group-key order; an explicit ORDER BY on
+    // other columns is not supported for grouped queries.
     if (needs_sort_) {
       ctx_->metrics.rows_sorted += out->size();
       ctx_->AddTailCost(cm.SortCost(static_cast<double>(out->size())));

@@ -2,13 +2,16 @@
 #define AIM_EXECUTOR_AGGREGATE_H_
 
 // The SELECT output sink: projection, grouping/aggregation, ordering and
-// LIMIT. Both engines emit surviving join combinations into the same sink
-// (lane binding arrays in, final result rows out), which is what makes
-// the row-vs-batch bit-identity argument local to the join pipeline:
-// everything downstream of Emit() is shared code.
+// LIMIT. The batch engine emits surviving join combinations (lane binding
+// arrays in, final result rows out); values are read as storage::ValueView
+// off the bound chunks' column lanes and become sql::Value only in result
+// rows. Groups are keyed by their encoded key bytes (storage::AppendKeyPart),
+// whose byte order is RowLess order (row.h), so groups come out in the
+// order the row interpreter's std::map<Row, RowLess> sink produces.
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,21 +20,21 @@
 
 namespace aim::executor {
 
-/// Aggregate accumulator.
+/// Aggregate accumulator. MIN/MAX hold views into the bound chunks (or
+/// a compiled literal), which stay unchanged while the statement runs.
 struct AggState {
   double sum = 0.0;
   uint64_t count = 0;
   bool has_minmax = false;
-  sql::Value min;
-  sql::Value max;
+  storage::ValueView min;
+  storage::ValueView max;
 
-  void Add(const sql::Value& v) {
+  /// Folds in `v`; `min_max` tracks MIN/MAX too (only they read them).
+  void Add(const storage::ValueView& v, bool min_max) {
     if (v.is_null()) return;
     ++count;
-    if (v.kind() == sql::Value::Kind::kInt64 ||
-        v.kind() == sql::Value::Kind::kDouble) {
-      sum += v.AsDouble();
-    }
+    if (v.is_number()) sum += v.AsDouble();
+    if (!min_max) return;
     if (!has_minmax) {
       min = max = v;
       has_minmax = true;
@@ -61,7 +64,7 @@ class SelectSink {
   uint64_t rows_emitted() const { return rows_emitted_; }
 
   /// Feeds one combination; false = stop execution (early LIMIT).
-  bool Emit(const storage::Row* const* bound);
+  bool Emit(const storage::SlotRef* bound);
 
   /// Grouping/sort/limit finalization; appends output rows to `out`.
   void Finalize(std::vector<storage::Row>* out);
@@ -72,10 +75,11 @@ class SelectSink {
     Kind kind = Kind::kValue;
     sql::AggFunc agg = sql::AggFunc::kNone;
     bool count_star = false;  // COUNT(*) / argless aggregate
+    bool min_max = false;     // MIN or MAX
     CompiledValue value;      // kValue projection or aggregate argument
   };
 
-  storage::Row Project(const storage::Row* const* bound) const;
+  storage::Row Project(const storage::SlotRef* bound) const;
 
   ExecContext* ctx_;
   const sql::SelectStatement& select_;
@@ -90,10 +94,13 @@ class SelectSink {
   std::vector<bool> order_asc_;
   std::vector<CompiledValue> group_exprs_;
 
-  // Group state: key -> aggregate states (one per select item).
-  std::map<storage::Row, std::vector<AggState>, storage::RowLess> groups_;
-  std::map<storage::Row, storage::Row, storage::RowLess>
-      group_first_values_;
+  struct Group {
+    std::vector<AggState> states;  // one per select item
+    storage::Row first_values;     // the group's first projected row
+  };
+  // Encoded group key -> group, in key (= RowLess) order.
+  std::map<std::string, Group> groups_;
+  std::string key_;  // Emit's scratch key
   std::vector<std::pair<storage::Row, storage::Row>>
       ungrouped_;  // (sort key, output row)
   int64_t emitted_ = 0;

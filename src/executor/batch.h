@@ -2,18 +2,19 @@
 #define AIM_EXECUTOR_BATCH_H_
 
 // The batch engine's working representation: a lane is one partial join
-// combination — an array of row pointers indexed by table *instance*
-// (nullptr = not yet bound), the same shape ExecContext keeps for the row
-// interpreter, so the shared sink and filters work on both. A LaneBuffer
-// is a flat lanes x instances pointer matrix; lane order is depth-first
+// combination — an array of row bindings (storage::SlotRef: a heap chunk
+// and slot, whose typed column lanes the filters and the sink read)
+// indexed by table *instance* (null chunk = not yet bound). A LaneBuffer
+// is a flat lanes x instances binding matrix; lane order is depth-first
 // production order, which is what keeps emission order (and therefore
-// aggregation and stable-sort inputs) identical to the interpreter.
+// aggregation and stable-sort inputs) identical to the row interpreter
+// the batch suite pins it against.
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
-#include "storage/row.h"
+#include "storage/heap_table.h"
 
 namespace aim::executor {
 
@@ -25,39 +26,20 @@ class LaneBuffer {
   size_t size() const { return stride_ == 0 ? 0 : data_.size() / stride_; }
   bool empty() const { return data_.empty(); }
 
-  const storage::Row* const* lane(size_t i) const {
+  const storage::SlotRef* lane(size_t i) const {
     return data_.data() + i * stride_;
   }
 
   void Clear() { data_.clear(); }
   void ReserveLanes(size_t lanes) { data_.reserve(lanes * stride_); }
 
-  /// Seeds the buffer with one all-null lane (the join root).
-  void PushEmptyLane() { data_.resize(data_.size() + stride_, nullptr); }
+  /// Seeds the buffer with one all-unbound lane (the join root).
+  void PushEmptyLane() { data_.resize(data_.size() + stride_); }
 
-  /// Appends a copy of `parent` with `instance` bound to `row`. `parent`
-  /// must not point into this buffer (resize may reallocate).
-  void PushChild(const storage::Row* const* parent, int instance,
-                 const storage::Row* row) {
-    const size_t base = data_.size();
-    data_.resize(base + stride_);
-    std::copy(parent, parent + stride_, data_.begin() + base);
-    data_[base + instance] = row;
-  }
-
-  /// Keeps only the lanes whose indices are in `keep` (ascending),
-  /// preserving order.
-  void Compact(const std::vector<size_t>& keep) {
-    size_t w = 0;
-    for (const size_t i : keep) {
-      if (i != w) {
-        std::copy(data_.begin() + i * stride_,
-                  data_.begin() + (i + 1) * stride_,
-                  data_.begin() + w * stride_);
-      }
-      ++w;
-    }
-    data_.resize(w * stride_);
+  /// Appends a copy of `lane` (`stride()` bindings), which must not point
+  /// into this buffer (the append may reallocate).
+  void PushLane(const storage::SlotRef* lane) {
+    data_.insert(data_.end(), lane, lane + stride_);
   }
 
   void Swap(LaneBuffer& other) {
@@ -67,7 +49,7 @@ class LaneBuffer {
 
  private:
   size_t stride_;
-  std::vector<const storage::Row*> data_;
+  std::vector<storage::SlotRef> data_;
 };
 
 }  // namespace aim::executor

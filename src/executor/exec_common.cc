@@ -7,9 +7,8 @@ namespace aim::executor {
 using optimizer::AnalyzedQuery;
 using sql::Expr;
 using sql::Value;
-using storage::Row;
 
-bool LikeMatch(const std::string& text, const std::string& pattern,
+bool LikeMatch(std::string_view text, std::string_view pattern,
                size_t ti, size_t pi) {
   while (pi < pattern.size()) {
     const char pc = pattern[pi];
@@ -52,121 +51,6 @@ std::optional<optimizer::BoundColumn> ExecContext::Resolve(
     if (c.has_value()) return optimizer::BoundColumn{i, *c};
   }
   return std::nullopt;
-}
-
-std::optional<Value> ExecContext::Eval(const Expr& e) const {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return e.value;
-    case Expr::Kind::kParam:
-      return std::nullopt;  // executor requires literal statements
-    case Expr::Kind::kColumn: {
-      auto bc = Resolve(e);
-      if (!bc.has_value()) return std::nullopt;
-      const Row* row = bound_[bc->instance];
-      if (row == nullptr) return std::nullopt;
-      return (*row)[bc->column];
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
-std::optional<bool> ExecContext::EvalPred(const Expr& e) const {
-  switch (e.kind) {
-    case Expr::Kind::kAnd: {
-      bool unknown = false;
-      for (const auto& c : e.children) {
-        auto v = EvalPred(*c);
-        if (!v.has_value()) {
-          unknown = true;
-        } else if (!*v) {
-          return false;
-        }
-      }
-      if (unknown) return std::nullopt;
-      return true;
-    }
-    case Expr::Kind::kOr: {
-      bool unknown = false;
-      for (const auto& c : e.children) {
-        auto v = EvalPred(*c);
-        if (!v.has_value()) {
-          unknown = true;
-        } else if (*v) {
-          return true;
-        }
-      }
-      if (unknown) return std::nullopt;
-      return false;
-    }
-    case Expr::Kind::kNot: {
-      auto v = EvalPred(*e.children[0]);
-      if (!v.has_value()) return std::nullopt;
-      return !*v;
-    }
-    case Expr::Kind::kComparison: {
-      auto lhs = Eval(*e.children[0]);
-      auto rhs = Eval(*e.children[1]);
-      if (!lhs.has_value() || !rhs.has_value()) return std::nullopt;
-      if (e.op == sql::CompareOp::kNullSafeEq) {
-        return lhs->Compare(*rhs) == 0;
-      }
-      if (lhs->is_null() || rhs->is_null()) return false;
-      if (e.op == sql::CompareOp::kLike) {
-        if (lhs->kind() != Value::Kind::kString ||
-            rhs->kind() != Value::Kind::kString) {
-          return false;
-        }
-        return LikeMatch(lhs->AsString(), rhs->AsString());
-      }
-      const int c = lhs->Compare(*rhs);
-      switch (e.op) {
-        case sql::CompareOp::kEq:
-          return c == 0;
-        case sql::CompareOp::kNe:
-          return c != 0;
-        case sql::CompareOp::kLt:
-          return c < 0;
-        case sql::CompareOp::kLe:
-          return c <= 0;
-        case sql::CompareOp::kGt:
-          return c > 0;
-        case sql::CompareOp::kGe:
-          return c >= 0;
-        default:
-          return false;
-      }
-    }
-    case Expr::Kind::kInList: {
-      auto lhs = Eval(*e.children[0]);
-      if (!lhs.has_value()) return std::nullopt;
-      if (lhs->is_null()) return false;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        auto v = Eval(*e.children[i]);
-        if (!v.has_value()) return std::nullopt;
-        if (!v->is_null() && lhs->Compare(*v) == 0) return true;
-      }
-      return false;
-    }
-    case Expr::Kind::kBetween: {
-      auto lhs = Eval(*e.children[0]);
-      auto lo = Eval(*e.children[1]);
-      auto hi = Eval(*e.children[2]);
-      if (!lhs.has_value() || !lo.has_value() || !hi.has_value()) {
-        return std::nullopt;
-      }
-      if (lhs->is_null() || lo->is_null() || hi->is_null()) return false;
-      return lhs->Compare(*lo) >= 0 && lhs->Compare(*hi) <= 0;
-    }
-    case Expr::Kind::kIsNull: {
-      auto lhs = Eval(*e.children[0]);
-      if (!lhs.has_value()) return std::nullopt;
-      return e.negated ? !lhs->is_null() : lhs->is_null();
-    }
-    default:
-      return true;  // opaque leaves pass (conservative)
-  }
 }
 
 void ExecContext::FinalizeCost() {
@@ -214,29 +98,14 @@ std::vector<Value> LiteralOptionsFor(const AnalyzedQuery& query,
   return {};
 }
 
-std::optional<Value> JoinBoundValue(const ExecContext& ctx, int instance,
-                                    catalog::ColumnId column) {
-  for (const auto& e : ctx.query().joins) {
-    if (e.left.instance == instance && e.left.column == column) {
-      const Row* other = ctx.bound(e.right.instance);
-      if (other != nullptr) return (*other)[e.right.column];
-    }
-    if (e.right.instance == instance && e.right.column == column) {
-      const Row* other = ctx.bound(e.left.instance);
-      if (other != nullptr) return (*other)[e.left.column];
-    }
-  }
-  return std::nullopt;
-}
-
 bool StaticJoinSource(const AnalyzedQuery& query,
                       const std::vector<int>& step_of_instance,
                       int instance, catalog::ColumnId column, int this_step,
                       int* src_instance, catalog::ColumnId* src_column) {
   // During step s of the nested loop, exactly the instances of steps
   // 0..s-1 are bound, so "partner bound" is a static property. Edge scan
-  // order (joins order, left side checked before right) mirrors
-  // JoinBoundValue so both engines pick the same source.
+  // order (joins order, left side checked before right) mirrors the row
+  // interpreter's run-time search, so both engines pick the same source.
   auto bound_before = [&](int other) {
     const int s = step_of_instance[other];
     return s >= 0 && s < this_step;

@@ -1,21 +1,22 @@
 #ifndef AIM_EXECUTOR_EXEC_COMMON_H_
 #define AIM_EXECUTOR_EXEC_COMMON_H_
 
-// Shared execution machinery of both SELECT engines (the row-at-a-time
-// interpreter and the vectorized batch engine) and the DML path: the
-// binding/evaluation context, the key-part helpers that turn predicates
-// into index probes, and the per-step cost accumulators.
+// Shared execution machinery of the batch engine and the DML path (and of
+// the row-at-a-time interpreter the batch suite keeps as its oracle): the
+// column-resolution and accounting context, the key-part helpers that
+// turn predicates into index probes, and the per-step cost accumulators.
 //
-// The per-step accumulators exist for bit-identity: both engines add the
-// same per-entry cost constants in the same per-step order, but the batch
-// engine's pipeline interleaves *across* steps differently than the
-// depth-first interpreter. Folding one double accumulator per plan step
-// (plus a tail slot for sort/maintenance) in fixed step order at finalize
-// makes the floating-point addition sequence — and therefore cost_units
-// and cpu_seconds down to the last bit — independent of the engine.
+// The per-step accumulators exist for bit-identity: the batch engine and
+// the depth-first interpreter add the same per-entry cost constants in
+// the same per-step order, but the batch pipeline interleaves *across*
+// steps differently. Folding one double accumulator per plan step (plus a
+// tail slot for sort/maintenance) in fixed step order at finalize makes
+// the floating-point addition sequence — and therefore cost_units and
+// cpu_seconds down to the last bit — independent of the engine.
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "executor/metrics.h"
@@ -27,13 +28,13 @@
 namespace aim::executor {
 
 /// SQL LIKE matcher ('%' = any run, '_' = any one char).
-bool LikeMatch(const std::string& text, const std::string& pattern,
+bool LikeMatch(std::string_view text, std::string_view pattern,
                size_t ti = 0, size_t pi = 0);
 
 /// Successor of a string prefix for LIKE 'p%' range scans.
 std::string PrefixSuccessor(std::string prefix);
 
-/// Execution context: bound rows per instance + accounting.
+/// Execution context: column resolution + accounting.
 class ExecContext {
  public:
   /// `num_steps` sizes the per-step cost/used-index slots (pass
@@ -43,35 +44,16 @@ class ExecContext {
       : db_(db),
         query_(query),
         cm_(cm),
-        bound_(query->instances.size(), nullptr),
         step_cost_(num_steps, 0.0),
         step_used_(num_steps) {}
 
   storage::Database* db() const { return db_; }
   const optimizer::AnalyzedQuery& query() const { return *query_; }
   const optimizer::CostModel& cm() const { return *cm_; }
-
-  void Bind(int instance, const storage::Row* row) {
-    bound_[instance] = row;
-  }
-  const storage::Row* bound(int instance) const { return bound_[instance]; }
-  /// Raw binding array (indexed by instance), for the shared emission
-  /// sink: the batch engine passes per-lane arrays of the same shape.
-  const storage::Row* const* bound_data() const { return bound_.data(); }
-  size_t num_instances() const { return bound_.size(); }
+  size_t num_instances() const { return query_->instances.size(); }
 
   /// Resolves a column expression to (instance, column).
   std::optional<optimizer::BoundColumn> Resolve(const sql::Expr& col) const;
-
-  /// Evaluates an expression; returns nullopt when it references an
-  /// unbound instance (three-valued partial evaluation).
-  std::optional<sql::Value> Eval(const sql::Expr& e) const;
-
-  /// Three-valued predicate evaluation: true / false / unknown (nullopt).
-  /// Unknown arises only from unbound instances; SQL NULL comparisons
-  /// evaluate to false (two-valued simplification adequate for the
-  /// generated workloads).
-  std::optional<bool> EvalPred(const sql::Expr& e) const;
 
   /// \name Cost / used-index accumulation (see file comment).
   /// @{
@@ -92,7 +74,6 @@ class ExecContext {
   storage::Database* db_;
   const optimizer::AnalyzedQuery* query_;
   const optimizer::CostModel* cm_;
-  std::vector<const storage::Row*> bound_;
   std::vector<double> step_cost_;
   double tail_cost_ = 0.0;
   std::vector<std::vector<catalog::IndexId>> step_used_;
@@ -104,16 +85,10 @@ std::vector<sql::Value> LiteralOptionsFor(
     const optimizer::AnalyzedQuery& query, int instance,
     catalog::ColumnId column);
 
-/// Join-bound value for a key part: the value from an already-bound
-/// partner instance, if any.
-std::optional<sql::Value> JoinBoundValue(const ExecContext& ctx,
-                                         int instance,
-                                         catalog::ColumnId column);
-
 /// The join edge a key part would be bound through, resolved statically:
 /// the first edge (in query.joins order) matching (instance, column)
-/// whose partner instance is produced by an earlier plan step. Mirrors
-/// JoinBoundValue's runtime search, which the batch engine compiles away.
+/// whose partner instance is produced by an earlier plan step (the row
+/// interpreter searches the same edges at run time).
 /// Returns false when no such edge exists.
 bool StaticJoinSource(const optimizer::AnalyzedQuery& query,
                       const std::vector<int>& step_of_instance,

@@ -18,21 +18,20 @@ struct ExecuteResult {
 
 /// Engine selection and tuning knobs.
 struct ExecutorOptions {
-  /// SELECT engine. The vectorized batch engine is the default; the
-  /// row-at-a-time interpreter remains as the differential oracle the
-  /// batch equivalence suite pins against.
+  /// SELECT engine; the vectorized batch engine is the only one.
   EngineKind engine = EngineKind::kBatch;
 };
 
 /// \brief Executes optimizer plans against the storage engine.
 ///
-/// Two SELECT engines share one accounting/emission substrate (see
-/// executor/exec_common.h): the original row-at-a-time nested-loop
-/// interpreter, and a vectorized batch engine that scans heaps in column
-/// batches, evaluates compiled predicates over lane buffers, and probes
-/// B+Trees with sorted probe batches. Results and metrics are
-/// bit-identical between the two by construction; the batch engine exists
-/// because clone-validation replay is executor-bound.
+/// SELECTs run on the vectorized batch engine: it scans heaps in chunk
+/// batches, evaluates compiled predicates over the chunks' typed column
+/// lanes (DESIGN.md §18), and probes B+Trees with sorted probe batches.
+/// Its rows and metrics are bit-identical to the row-at-a-time
+/// nested-loop interpreter that the batch suite keeps in tests/ as its
+/// oracle; execution cost is counted, not timed, so replay evidence does
+/// not depend on the engine's speed. DML locates its rows with the same
+/// compiled predicates and mutates through the storage API.
 ///
 /// Statements must be literal (no '?' parameters).
 class Executor {

@@ -6,6 +6,7 @@ namespace aim::executor {
 
 using sql::Expr;
 using sql::Value;
+using storage::ValueView;
 
 CompiledValue CompileValue(const Expr& e, const ExecContext& ctx) {
   CompiledValue v;
@@ -13,6 +14,8 @@ CompiledValue CompileValue(const Expr& e, const ExecContext& ctx) {
     case Expr::Kind::kLiteral:
       v.kind = CompiledValue::Kind::kLiteral;
       v.literal = e.value;
+      v.literal_view = ValueView::Of(v.literal);
+      v.literal_view.text = {};
       break;
     case Expr::Kind::kColumn: {
       auto bc = ctx.Resolve(e);
@@ -58,7 +61,7 @@ CompiledPred CompilePred(const Expr& e, const ExecContext& ctx) {
   return p;
 }
 
-Tri EvalCompiled(const CompiledPred& p, const storage::Row* const* bound) {
+Tri EvalCompiled(const CompiledPred& p, const storage::SlotRef* bound) {
   switch (p.kind) {
     case Expr::Kind::kAnd: {
       bool unknown = false;
@@ -90,22 +93,23 @@ Tri EvalCompiled(const CompiledPred& p, const storage::Row* const* bound) {
       return v == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
     }
     case Expr::Kind::kComparison: {
-      const Value* lhs = p.operands[0].Get(bound);
-      const Value* rhs = p.operands[1].Get(bound);
-      if (lhs == nullptr || rhs == nullptr) return Tri::kUnknown;
-      if (p.op == sql::CompareOp::kNullSafeEq) {
-        return lhs->Compare(*rhs) == 0 ? Tri::kTrue : Tri::kFalse;
+      ValueView lhs;
+      ValueView rhs;
+      if (!p.operands[0].Get(bound, &lhs) || !p.operands[1].Get(bound, &rhs)) {
+        return Tri::kUnknown;
       }
-      if (lhs->is_null() || rhs->is_null()) return Tri::kFalse;
+      if (p.op == sql::CompareOp::kNullSafeEq) {
+        return lhs.Compare(rhs) == 0 ? Tri::kTrue : Tri::kFalse;
+      }
+      if (lhs.is_null() || rhs.is_null()) return Tri::kFalse;
       if (p.op == sql::CompareOp::kLike) {
-        if (lhs->kind() != Value::Kind::kString ||
-            rhs->kind() != Value::Kind::kString) {
+        if (lhs.kind != Value::Kind::kString ||
+            rhs.kind != Value::Kind::kString) {
           return Tri::kFalse;
         }
-        return LikeMatch(lhs->AsString(), rhs->AsString()) ? Tri::kTrue
-                                                           : Tri::kFalse;
+        return LikeMatch(lhs.text, rhs.text) ? Tri::kTrue : Tri::kFalse;
       }
-      const int c = lhs->Compare(*rhs);
+      const int c = lhs.Compare(rhs);
       bool r = false;
       switch (p.op) {
         case sql::CompareOp::kEq:
@@ -133,33 +137,34 @@ Tri EvalCompiled(const CompiledPred& p, const storage::Row* const* bound) {
       return r ? Tri::kTrue : Tri::kFalse;
     }
     case Expr::Kind::kInList: {
-      const Value* lhs = p.operands[0].Get(bound);
-      if (lhs == nullptr) return Tri::kUnknown;
-      if (lhs->is_null()) return Tri::kFalse;
+      ValueView lhs;
+      if (!p.operands[0].Get(bound, &lhs)) return Tri::kUnknown;
+      if (lhs.is_null()) return Tri::kFalse;
       for (size_t i = 1; i < p.operands.size(); ++i) {
-        const Value* v = p.operands[i].Get(bound);
-        if (v == nullptr) return Tri::kUnknown;
-        if (!v->is_null() && lhs->Compare(*v) == 0) return Tri::kTrue;
+        ValueView v;
+        if (!p.operands[i].Get(bound, &v)) return Tri::kUnknown;
+        if (!v.is_null() && lhs.Compare(v) == 0) return Tri::kTrue;
       }
       return Tri::kFalse;
     }
     case Expr::Kind::kBetween: {
-      const Value* lhs = p.operands[0].Get(bound);
-      const Value* lo = p.operands[1].Get(bound);
-      const Value* hi = p.operands[2].Get(bound);
-      if (lhs == nullptr || lo == nullptr || hi == nullptr) {
+      ValueView lhs;
+      ValueView lo;
+      ValueView hi;
+      if (!p.operands[0].Get(bound, &lhs) || !p.operands[1].Get(bound, &lo) ||
+          !p.operands[2].Get(bound, &hi)) {
         return Tri::kUnknown;
       }
-      if (lhs->is_null() || lo->is_null() || hi->is_null()) {
+      if (lhs.is_null() || lo.is_null() || hi.is_null()) {
         return Tri::kFalse;
       }
-      return lhs->Compare(*lo) >= 0 && lhs->Compare(*hi) <= 0 ? Tri::kTrue
-                                                              : Tri::kFalse;
+      return lhs.Compare(lo) >= 0 && lhs.Compare(hi) <= 0 ? Tri::kTrue
+                                                          : Tri::kFalse;
     }
     case Expr::Kind::kIsNull: {
-      const Value* lhs = p.operands[0].Get(bound);
-      if (lhs == nullptr) return Tri::kUnknown;
-      const bool n = lhs->is_null();
+      ValueView lhs;
+      if (!p.operands[0].Get(bound, &lhs)) return Tri::kUnknown;
+      const bool n = lhs.is_null();
       return (p.negated ? !n : n) ? Tri::kTrue : Tri::kFalse;
     }
     default:
@@ -214,7 +219,7 @@ int FirstFalse(const CompiledPred& p, const std::vector<int>& soi,
       return FirstTrue(p.children[0], soi, num_steps);
     case Expr::Kind::kInList:
       // IN is definitively false as soon as the probe value is NULL —
-      // EvalPred short-circuits before touching the elements — so the
+      // evaluation short-circuits before touching the elements — so the
       // probe operand's depth is the safe lower bound, not RefsMax.
       return p.operands[0].depth(soi);
     case Expr::Kind::kComparison:

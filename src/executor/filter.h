@@ -6,14 +6,16 @@
 // The row interpreter re-resolves every column reference by name on every
 // row (ExecContext::Resolve walks instances and does a string column
 // lookup); that resolution dominated replay profiles. Compilation resolves
-// references once per statement into (instance, column) slots read
-// straight off a lane's binding array.
+// references once per statement into (instance, column) slots, read as
+// storage::ValueView straight off the bound chunk's column lanes
+// (DESIGN.md §18) — no sql::Value is built per row.
 //
-// Semantics contract: EvalCompiled() is an exact mirror of
-// ExecContext::EvalPred (three-valued logic, NULL handling, LIKE type
-// checks, IN-list unknown short-circuit) — the batch suite pins the two
-// engines bit-identical, so any divergence here is a test failure, not a
-// quiet skew.
+// Semantics contract: EvalCompiled() is an exact mirror of the row
+// interpreter's predicate evaluation (three-valued logic, NULL handling,
+// LIKE type checks, IN-list unknown short-circuit), and ValueView::Compare
+// of sql::Value::Compare — the batch suite pins the engine bit-identical
+// to the interpreter (the oracle in tests/), so any divergence here is a
+// test failure, not a quiet skew.
 
 #include <cstdint>
 #include <optional>
@@ -26,31 +28,41 @@ namespace aim::executor {
 enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
 
 /// A value operand resolved at compile time. kUnknown covers '?' params,
-/// unresolvable columns, and opaque expression kinds — everything
-/// ExecContext::Eval answers nullopt for regardless of bindings.
+/// unresolvable columns, and opaque expression kinds — everything the
+/// interpreter's evaluation answers unknown for regardless of bindings.
 struct CompiledValue {
   enum class Kind : uint8_t { kLiteral, kColumn, kUnknown };
   Kind kind = Kind::kUnknown;
   sql::Value literal;
+  /// ValueView::Of(literal) without its text: string literals are viewed
+  /// at each Get, since a view would not survive moving this operand.
+  storage::ValueView literal_view;
   int instance = -1;
   catalog::ColumnId column = 0;
 
-  /// The value under `bound` (indexed by instance), or nullptr when
-  /// unknown. Mirrors ExecContext::Eval.
-  const sql::Value* Get(const storage::Row* const* bound) const {
+  /// Reads the value under `bound` (indexed by instance) into `*out`;
+  /// false when it is unknown (a param, or an unbound instance).
+  bool Get(const storage::SlotRef* bound, storage::ValueView* out) const {
     switch (kind) {
       case Kind::kLiteral:
-        return &literal;
+        if (literal_view.kind == sql::Value::Kind::kString) {
+          *out = storage::ValueView::Of(literal);
+        } else {
+          *out = literal_view;
+        }
+        return true;
       case Kind::kColumn: {
-        const storage::Row* row = bound[instance];
-        return row == nullptr ? nullptr : &(*row)[column];
+        const storage::SlotRef& ref = bound[instance];
+        if (ref.chunk == nullptr) return false;
+        *out = ref.value(column);
+        return true;
       }
       default:
-        return nullptr;
+        return false;
     }
   }
-  /// True when Get can return nullptr even with every step's instance
-  /// bound (params, unresolved references).
+  /// True when Get can fail even with every step's instance bound
+  /// (params, unresolved references).
   bool unknown_capable(const std::vector<int>& step_of_instance) const {
     if (kind == Kind::kUnknown) return true;
     return kind == Kind::kColumn && step_of_instance[instance] < 0;
@@ -79,8 +91,8 @@ struct CompiledPred {
 CompiledPred CompilePred(const sql::Expr& e, const ExecContext& ctx);
 
 /// Three-valued evaluation over a lane's binding array; exact mirror of
-/// ExecContext::EvalPred.
-Tri EvalCompiled(const CompiledPred& p, const storage::Row* const* bound);
+/// the row interpreter's predicate evaluation.
+Tri EvalCompiled(const CompiledPred& p, const storage::SlotRef* bound);
 
 /// \brief The WHERE clause as scheduled conjuncts.
 ///
@@ -102,7 +114,7 @@ class FilterProgram {
                 const std::vector<int>& step_of_instance, int num_steps);
 
   /// Prune check after binding step `depth`. False = lane rejected.
-  bool CheckLane(int depth, const storage::Row* const* bound) const {
+  bool CheckLane(int depth, const storage::SlotRef* bound) const {
     for (const int ci : by_depth_[depth]) {
       if (EvalCompiled(conjuncts_[ci].pred, bound) == Tri::kFalse) {
         return false;
@@ -112,7 +124,7 @@ class FilterProgram {
   }
 
   /// Final check: every emit-check conjunct must be definitively true.
-  bool EmitCheck(const storage::Row* const* bound) const {
+  bool EmitCheck(const storage::SlotRef* bound) const {
     for (const int ci : emit_checks_) {
       if (EvalCompiled(conjuncts_[ci].pred, bound) != Tri::kTrue) {
         return false;

@@ -1,13 +1,12 @@
 #include "executor/join.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace aim::executor {
 
 using storage::IndexHit;
 using storage::ProbeSpan;
-using storage::Row;
+using storage::SlotRef;
 
 BatchEngine::BatchEngine(ExecContext* ctx, const optimizer::Plan& plan,
                          const FilterProgram* filter, SelectSink* sink,
@@ -51,7 +50,7 @@ double BatchEngine::DescentCost(uint64_t n) const {
          pp.btree_descent_cost * pp.random_page_cost / 4.0;
 }
 
-bool BatchEngine::EmitLane(const Row* const* bound) {
+bool BatchEngine::EmitLane(const SlotRef* bound) {
   ++ctx_->metrics.op_aggregate.rows_in;
   if (!filter_->EmitCheck(bound)) return true;
   return sink_->Emit(bound);
@@ -60,8 +59,7 @@ bool BatchEngine::EmitLane(const Row* const* bound) {
 void BatchEngine::Run() {
   ++ctx_->metrics.op_aggregate.batches;
   if (plan_.steps.empty()) {
-    std::vector<const Row*> bound(std::max<size_t>(num_instances_, 1),
-                                  nullptr);
+    std::vector<SlotRef> bound(std::max<size_t>(num_instances_, 1));
     if (filter_->CheckLane(0, bound.data())) {
       (void)EmitLane(bound.data());
     }
@@ -70,7 +68,7 @@ void BatchEngine::Run() {
   if (sink_->can_stop_early()) {
     // Capacity-1 batches: an exact depth-first walk, so mid-scan stop
     // accounting matches the interpreter entry for entry.
-    std::vector<const Row*> bound(num_instances_, nullptr);
+    std::vector<SlotRef> bound(num_instances_);
     (void)StrictStep(0, bound.data());
     return;
   }
@@ -92,7 +90,6 @@ void BatchEngine::RunBulk() {
     next.ReserveLanes(std::min<size_t>(
         std::max<size_t>(static_cast<size_t>(est), hint), 1u << 20));
     ProduceBulk(s, cur, &next);
-    FilterDepth(s, &next);
     cur.Swap(next);
   }
   for (size_t i = 0; i < cur.size(); ++i) {
@@ -178,20 +175,32 @@ void BatchEngine::ProduceBulk(size_t s, const LaneBuffer& cur,
                               LaneBuffer* next) {
   const StepAccess& a = Access(s);
   const int instance = a.instance;
+  // Each child is checked against depth s's conjuncts in a scratch lane
+  // and only survivors are written to `next`: the filter operator's
+  // counters see every child, in production order.
+  auto& of = ctx_->metrics.op_filter;
+  ++of.batches;
+  std::vector<SlotRef> child(num_instances_);
+  auto push_if_kept = [&](SlotRef row) {
+    child[instance] = row;
+    ++of.rows_in;
+    if (filter_->CheckLane(static_cast<int>(s), child.data())) {
+      next->PushLane(child.data());
+      ++of.rows_out;
+    }
+  };
 
   if (a.kind != StepAccess::Kind::kIndex || a.lane_invariant) {
     const Production& p = Invariant(s);
     for (size_t li = 0; li < cur.size(); ++li) {
       ReplayInvariantLane(s, a, p);
-      const Row* const* lane = cur.lane(li);
-      for (const Row* row : p.rows) {
-        next->PushChild(lane, instance, row);
-      }
+      std::copy(cur.lane(li), cur.lane(li) + num_instances_, child.begin());
+      for (const SlotRef row : p.rows) push_if_kept(row);
     }
     return;
   }
 
-  // Join-bound index step: batch all lanes' probes, sort the keys so
+  // Join-bound index step: batch all lanes' probes, order the keys so
   // duplicate prefixes share one descent, then replay per lane in order.
   const size_t lanes = cur.size();
   const size_t ppl = a.probes_per_lane;
@@ -200,10 +209,7 @@ void BatchEngine::ProduceBulk(size_t s, const LaneBuffer& cur,
   for (size_t li = 0; li < lanes; ++li) {
     BuildLaneProbes(a, cur.lane(li), &probes);
   }
-  std::vector<size_t> order(probes.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t x, size_t y) { return probes[x] < probes[y]; });
+  const std::vector<size_t> order = storage::SortedKeyOrder(probes);
   std::vector<IndexHit> hits;
   std::vector<ProbeSpan> spans;
   a.btree->GatherPrefixBatch(probes, order, a.lower, a.upper, &hits,
@@ -214,7 +220,7 @@ void BatchEngine::ProduceBulk(size_t s, const LaneBuffer& cur,
   ++oj.batches;
   oj.rows_in += probes.size();
   for (size_t li = 0; li < lanes; ++li) {
-    const Row* const* lane = cur.lane(li);
+    std::copy(cur.lane(li), cur.lane(li) + num_instances_, child.begin());
     for (size_t j = 0; j < ppl; ++j) {
       const ProbeSpan& span = spans[li * ppl + j];
       for (size_t k = span.begin; k < span.end; ++k) {
@@ -224,7 +230,7 @@ void BatchEngine::ProduceBulk(size_t s, const LaneBuffer& cur,
           ++m.heap_rows_read;
           ctx_->AddStepCost(s, c_fetch_);
         }
-        next->PushChild(lane, instance, &a.heap->row(hits[k].rid));
+        push_if_kept(a.heap->slot(hits[k].rid));
         ++oj.rows_out;
       }
       m.index_entries_read += span.visited;
@@ -235,32 +241,18 @@ void BatchEngine::ProduceBulk(size_t s, const LaneBuffer& cur,
   }
 }
 
-void BatchEngine::FilterDepth(size_t s, LaneBuffer* lanes) {
-  auto& of = ctx_->metrics.op_filter;
-  ++of.batches;
-  of.rows_in += lanes->size();
-  std::vector<size_t> keep;
-  keep.reserve(lanes->size());
-  for (size_t i = 0; i < lanes->size(); ++i) {
-    if (filter_->CheckLane(static_cast<int>(s), lanes->lane(i))) {
-      keep.push_back(i);
-    }
-  }
-  if (keep.size() != lanes->size()) lanes->Compact(keep);
-  of.rows_out += lanes->size();
-}
-
 // ---------------------------------------------------------------------------
-// Strict (early-stop) path. Mirrors NestedLoopDriver::RunStep with
-// compiled filters and cached lane-invariant productions.
+// Strict (early-stop) path. Mirrors the row interpreter's depth-first
+// step (the oracle in tests/) with compiled filters and cached
+// lane-invariant productions.
 
-bool BatchEngine::StrictStep(size_t s, const Row** bound) {
+bool BatchEngine::StrictStep(size_t s, SlotRef* bound) {
   if (s >= plan_.steps.size()) return EmitLane(bound);
   const StepAccess& a = Access(s);
   const int instance = a.instance;
   auto& m = ctx_->metrics;
 
-  auto consider = [&](const Row* row, bool via_index,
+  auto consider = [&](SlotRef row, bool via_index,
                       bool covering) -> bool {
     m.heap_rows_read += (via_index && covering) ? 0 : 1;
     if (via_index) {
@@ -275,7 +267,7 @@ bool BatchEngine::StrictStep(size_t s, const Row** bound) {
     if (filter_->CheckLane(static_cast<int>(s), bound)) {
       keep = StrictStep(s + 1, bound);
     }
-    bound[instance] = nullptr;
+    bound[instance] = SlotRef{};
     return keep;
   };
 
@@ -285,7 +277,7 @@ bool BatchEngine::StrictStep(size_t s, const Row** bound) {
       const Production& p = Invariant(s);
       uint64_t visited = 0;
       bool keep = true;
-      for (const Row* row : p.rows) {
+      for (const SlotRef row : p.rows) {
         ++visited;
         keep = consider(row, /*via_index=*/false, /*covering=*/false);
         if (!keep) break;
@@ -347,7 +339,7 @@ bool BatchEngine::StrictStep(size_t s, const Row** bound) {
               a.btree->GatherPrefix(probe, a.lower, a.upper, &hits);
           uint64_t probe_visited = full_visited;
           for (size_t k = 0; k < hits.size() && keep; ++k) {
-            keep = consider(&a.heap->row(hits[k].rid),
+            keep = consider(a.heap->slot(hits[k].rid),
                             /*via_index=*/true, a.covering);
             if (!keep) probe_visited = hits[k].visited;
           }
@@ -374,7 +366,7 @@ bool BatchEngine::StrictStep(size_t s, const Row** bound) {
         ctx_->UseIndex(s, a.arms[ai].index->id);
       }
       bool keep = true;
-      for (const Row* row : p.rows) {
+      for (const SlotRef row : p.rows) {
         keep = consider(row, /*via_index=*/true, a.covering);
         if (!keep) break;
       }

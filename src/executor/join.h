@@ -45,17 +45,16 @@ class BatchEngine {
 
   // --- bulk (breadth-first) path ---
   void RunBulk();
-  /// Produces depth `s` children of `cur` into `next` with per-lane
-  /// accounting replay.
+  /// Produces depth `s` children of `cur` with per-lane accounting
+  /// replay, and appends those the filter program keeps at depth `s` to
+  /// `next`.
   void ProduceBulk(size_t s, const LaneBuffer& cur, LaneBuffer* next);
   void ReplayInvariantLane(size_t s, const StepAccess& a,
                            const Production& p);
-  /// Prunes `lanes` through the filter program at depth `s`.
-  void FilterDepth(size_t s, LaneBuffer* lanes);
 
   // --- strict (early-stop, depth-first) path ---
-  bool StrictStep(size_t s, const storage::Row** bound);
-  bool EmitLane(const storage::Row* const* bound);
+  bool StrictStep(size_t s, storage::SlotRef* bound);
+  bool EmitLane(const storage::SlotRef* bound);
 
   ExecContext* ctx_;
   const optimizer::Plan& plan_;

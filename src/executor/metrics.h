@@ -8,12 +8,12 @@
 
 namespace aim::executor {
 
-/// Which execution engine interprets SELECT plans. The two engines are
-/// bit-identical in results and metrics (pinned by `ctest -L batch`); the
-/// row interpreter is kept as the differential baseline.
+/// Which execution engine interprets SELECT plans: the vectorized batch
+/// engine is the only one. `ctest -L batch` pins it bit-identical in
+/// results and metrics to the row-at-a-time interpreter kept in tests/ as
+/// its oracle.
 enum class EngineKind {
   kBatch = 0,
-  kRowAtATime = 1,
 };
 
 /// Per-operator batch counters (64-bit so 10k-template replays cannot

@@ -8,7 +8,6 @@ namespace aim::executor {
 
 using optimizer::AccessPath;
 using sql::Value;
-using storage::Row;
 using storage::RowId;
 
 namespace {
@@ -215,7 +214,7 @@ void GatherInvariant(const StepAccess& a, Production* out) {
                               &out->cum_groups, &out->groups_total);
       out->rows.reserve(out->hits.size());
       for (const auto& h : out->hits) {
-        out->rows.push_back(&a.heap->row(h.rid));
+        out->rows.push_back(a.heap->slot(h.rid));
       }
       return;
     }
@@ -237,7 +236,7 @@ void GatherInvariant(const StepAccess& a, Production* out) {
       }
       out->rows.reserve(out->hits.size());
       for (const auto& h : out->hits) {
-        out->rows.push_back(&a.heap->row(h.rid));
+        out->rows.push_back(a.heap->slot(h.rid));
       }
       return;
     }
@@ -263,15 +262,28 @@ void GatherInvariant(const StepAccess& a, Production* out) {
       rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
       out->rows.reserve(rids.size());
       for (const RowId rid : rids) {
-        out->rows.push_back(&a.heap->row(rid));
+        out->rows.push_back(a.heap->slot(rid));
       }
       return;
     }
   }
 }
 
-void BuildLaneProbes(const StepAccess& a, const Row* const* bound,
+void BuildLaneProbes(const StepAccess& a, const storage::SlotRef* bound,
                      std::vector<std::string>* out) {
+  if (a.probes_per_lane == 1) {
+    // One option per part (the common join probe): no enumeration.
+    std::string& probe = out->emplace_back();
+    for (const KeyPart& kp : a.parts) {
+      if (kp.join_bound) {
+        storage::AppendKeyPart(bound[kp.src_instance].value(kp.src_column),
+                               &probe);
+      } else {
+        storage::AppendKeyPart(kp.literals[0], &probe);
+      }
+    }
+    return;
+  }
   // Odometer over key parts, first part slowest (interpreter enumeration
   // order); join-bound parts contribute the single partner value.
   std::string probe;
@@ -283,7 +295,7 @@ void BuildLaneProbes(const StepAccess& a, const Row* const* bound,
     const KeyPart& kp = a.parts[pos];
     const size_t mark = probe.size();
     if (kp.join_bound) {
-      storage::AppendKeyPart((*bound[kp.src_instance])[kp.src_column],
+      storage::AppendKeyPart(bound[kp.src_instance].value(kp.src_column),
                              &probe);
       enumerate(pos + 1);
       probe.resize(mark);

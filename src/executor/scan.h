@@ -85,7 +85,7 @@ StepAccess CompileStepAccess(const ExecContext& ctx,
 /// visited counts the interpreter's walk would have reported.
 struct Production {
   /// Candidate heap rows in interpreter visit order.
-  std::vector<const storage::Row*> rows;
+  std::vector<storage::SlotRef> rows;
   uint64_t visited_total = 0;
 
   /// kIndex / kSkipScan: per-entry hits aligned with `rows` (IndexHit
@@ -108,8 +108,7 @@ void GatherInvariant(const StepAccess& access, Production* out);
 
 /// Appends the encoded probe prefixes of one lane of a join-bound index
 /// step, in the interpreter's enumeration order (first key part slowest).
-void BuildLaneProbes(const StepAccess& access,
-                     const storage::Row* const* bound,
+void BuildLaneProbes(const StepAccess& access, const storage::SlotRef* bound,
                      std::vector<std::string>* out);
 
 }  // namespace aim::executor

@@ -94,7 +94,47 @@ void RadixSortByHead(std::vector<SortRecord>* records) {
   }
 }
 
+/// The records of keys 0..n-1 (`key(i)`), stably sorted by key: a radix
+/// sort by head without touching the keys, then runs of equal heads whose
+/// keys differ beyond the head ordered by full key, ties by sequence.
+/// Equal keys always end up in input order.
+template <typename KeyOf>
+std::vector<SortRecord> SortByKey(size_t n, const KeyOf& key) {
+  std::vector<SortRecord> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = SortRecord{BigEndianAt(key(i), 0), BigEndianAt(key(i), 8), i};
+  }
+  RadixSortByHead(&order);
+  for (size_t begin = 0; begin < order.size();) {
+    size_t end = begin + 1;
+    bool equal_keys = true;
+    for (; end < order.size() && order[end].hi == order[begin].hi &&
+           order[end].lo == order[begin].lo;
+         ++end) {
+      equal_keys = equal_keys && key(order[end].seq) == key(order[begin].seq);
+    }
+    if (!equal_keys) {
+      std::sort(order.begin() + begin, order.begin() + end,
+                [&](const SortRecord& x, const SortRecord& y) {
+                  const int c = key(x.seq).compare(key(y.seq));
+                  return c != 0 ? c < 0 : x.seq < y.seq;
+                });
+    }
+    begin = end;
+  }
+  return order;
+}
+
 }  // namespace
+
+std::vector<size_t> SortedKeyOrder(const std::vector<std::string>& keys) {
+  const std::vector<SortRecord> sorted = SortByKey(
+      keys.size(), [&](size_t i) { return std::string_view(keys[i]); });
+  std::vector<size_t> order;
+  order.reserve(sorted.size());
+  for (const SortRecord& r : sorted) order.push_back(r.seq);
+  return order;
+}
 
 /// A scan call's bounds on the key part after the equality prefix,
 /// encoded once per call.
@@ -140,6 +180,47 @@ BTreeIndex::Pos BTreeIndex::LowerBound(std::string_view a,
       });
   return Pos{static_cast<size_t>(leaf - leaves.begin()),
              static_cast<size_t>(slot - found.slots.begin())};
+}
+
+namespace {
+
+/// The first i in [lo, n) with !before(i) (n if none), for a predicate
+/// true on a prefix of [lo, n): exponential steps from `lo`, then a binary
+/// search inside the last step.
+template <typename Before>
+size_t Gallop(size_t lo, size_t n, const Before& before) {
+  size_t hi = lo;
+  for (size_t step = 1; hi < n && before(hi); step *= 2) {
+    lo = hi + 1;
+    hi = lo + step;
+  }
+  size_t end = std::min(hi, n);
+  while (lo < end) {
+    const size_t mid = lo + (end - lo) / 2;
+    if (before(mid)) {
+      lo = mid + 1;
+    } else {
+      end = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
+BTreeIndex::Pos BTreeIndex::LowerBoundFrom(Pos from, std::string_view a,
+                                           std::string_view b) const {
+  const Leaves& leaves = *leaves_;
+  size_t leaf = Gallop(from.leaf, leaves.size(), [&](size_t i) {
+    return CompareConcat(leaves[i]->last_key(), a, b) < 0;
+  });
+  if (leaf == leaves.size()) return Pos{leaves.size(), 0};
+  const Leaf& found = *leaves[leaf];
+  const size_t slot = Gallop(leaf == from.leaf ? from.slot : 0,
+                             found.slots.size(), [&](size_t i) {
+                               return CompareConcat(found.key(i), a, b) < 0;
+                             });
+  return Pos{leaf, slot};
 }
 
 void BTreeIndex::Advance(Pos* pos) const {
@@ -328,15 +409,23 @@ void BTreeIndex::GatherPrefixBatch(const std::vector<std::string>& probes,
   spans->resize(probes.size());
   const std::string* prev = nullptr;
   ProbeSpan prev_span;
+  Pos from;  // every entry before it sorts before the current probe
   for (const size_t i : order) {
     const std::string& probe = probes[i];
     if (prev != nullptr && probe == *prev) {
       (*spans)[i] = prev_span;  // duplicate prefix: reuse the descent
       continue;
     }
+    // An ascending probe keeps ascending once the lower bound is
+    // appended, unless the previous probe is a proper prefix of it; any
+    // other probe searches from the start.
+    if (prev != nullptr && (probe < *prev || probe.starts_with(*prev))) {
+      from = Pos{};
+    }
+    from = LowerBoundFrom(from, probe, range.lower);
     ProbeSpan span;
     span.begin = hits->size();
-    Walk(LowerBound(probe, range.lower), probe, range, &span.visited,
+    Walk(from, probe, range, &span.visited,
          [&](RowId rid, uint64_t v) {
            hits->push_back(IndexHit{rid, v});
            return true;
@@ -372,32 +461,7 @@ BTreeIndex BTreeBuilder::Finish() && {
     return std::string_view(keys_).substr(pending_[i].offset,
                                           pending_[i].size);
   };
-  // The radix sort orders records by head without touching the arena,
-  // stably, so equal heads keep insertion order. Runs of equal heads whose
-  // keys differ beyond the head are then ordered by full key, ties by
-  // sequence: equal keys always end up in insertion order.
-  std::vector<SortRecord> order(pending_.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = SortRecord{BigEndianAt(key(i), 0), BigEndianAt(key(i), 8), i};
-  }
-  RadixSortByHead(&order);
-  for (size_t begin = 0; begin < order.size();) {
-    size_t end = begin + 1;
-    bool equal_keys = true;
-    for (; end < order.size() && order[end].hi == order[begin].hi &&
-           order[end].lo == order[begin].lo;
-         ++end) {
-      equal_keys = equal_keys && key(order[end].seq) == key(order[begin].seq);
-    }
-    if (!equal_keys) {
-      std::sort(order.begin() + begin, order.begin() + end,
-                [&](const SortRecord& x, const SortRecord& y) {
-                  const int c = key(x.seq).compare(key(y.seq));
-                  return c != 0 ? c < 0 : x.seq < y.seq;
-                });
-    }
-    begin = end;
-  }
+  const std::vector<SortRecord> order = SortByKey(pending_.size(), key);
 
   BTreeIndex tree;
   tree.size_ = order.size();

@@ -109,10 +109,11 @@ class BTreeIndex {
   ///
   /// `order` indexes into `probes` (encoded prefixes) and must be sorted
   /// so equal prefixes are adjacent (the caller sorts once per input
-  /// batch); consecutive duplicates reuse the previous descent's hit span
-  /// instead of re-walking the tree. `spans` is written per *original*
-  /// probe position (spans[i] describes probes[i]), so callers can account
-  /// probes in their canonical enumeration order.
+  /// batch, SortedKeyOrder); consecutive duplicates reuse the previous
+  /// descent's hit span instead of re-walking the tree, and each ascending
+  /// probe searches forward from the previous one's position. `spans` is
+  /// written per *original* probe position (spans[i] describes probes[i]),
+  /// so callers can account probes in their canonical enumeration order.
   void GatherPrefixBatch(const std::vector<std::string>& probes,
                          const std::vector<size_t>& order,
                          const std::optional<KeyBound>& lower,
@@ -164,6 +165,10 @@ class BTreeIndex {
 
   /// First entry whose key is >= `a` + `b` (concatenated).
   Pos LowerBound(std::string_view a, std::string_view b = {}) const;
+  /// LowerBound for a key no entry before `from` reaches (every entry
+  /// before `from` sorts before `a` + `b`): gallops forward from `from`,
+  /// so a run of ascending keys costs a few comparisons each.
+  Pos LowerBoundFrom(Pos from, std::string_view a, std::string_view b) const;
   void Advance(Pos* pos) const;
   /// Walks entries from `pos` while they start with `prefix`, applying the
   /// range to the key part after it; `visited` accumulates. Returns false
@@ -183,6 +188,11 @@ class BTreeIndex {
   CowRef<Leaves> leaves_;  // never empty leaves
   uint64_t size_ = 0;
 };
+
+/// The stable permutation that sorts `keys` bytewise (the B+Tree's key
+/// order): a radix sort by each key's first 16 bytes, with comparisons only
+/// inside runs of equal heads. A valid `order` for GatherPrefixBatch.
+std::vector<size_t> SortedKeyOrder(const std::vector<std::string>& keys);
 
 /// \brief Bulk loader: collects (key, rid) entries in insertion order,
 /// then sorts them by (key, insertion sequence) and packs full leaves

@@ -165,16 +165,24 @@ std::string Database::MakeIndexKey(const catalog::IndexDef& def,
   return key;
 }
 
+std::string Database::MakeIndexKey(const catalog::IndexDef& def,
+                                   RowId rid) const {
+  const SlotRef ref = heaps_[def.table].slot(rid);
+  std::string key;
+  for (catalog::ColumnId c : def.columns) AppendKeyPart(ref.value(c), &key);
+  return key;
+}
+
 Status Database::BuildIndex(const catalog::IndexDef& def,
                             BTreeIndex* out) const {
   BTreeBuilder builder;
   std::string key;
   Status st;
-  heaps_[def.table].Scan([&](RowId rid, const Row& row) {
+  heaps_[def.table].ForEachLive([&](RowId rid, SlotRef ref) {
     st = AIM_FAULT_POINT_STATUS("storage.build_index_entry");
     if (!st.ok()) return false;
     key.clear();
-    for (catalog::ColumnId c : def.columns) AppendKeyPart(row[c], &key);
+    for (catalog::ColumnId c : def.columns) AppendKeyPart(ref.value(c), &key);
     builder.Add(key, rid);
     return true;
   });
@@ -216,10 +224,9 @@ Status Database::UpdateRow(catalog::TableId table, RowId rid, Row row,
   if (!heap.IsLive(rid)) {
     return Status::NotFound("update of dead row");
   }
-  const Row old_row = heap.row(rid);
   for (const catalog::IndexDef* idx :
        catalog_.TableIndexes(table, /*include_hypothetical=*/false)) {
-    const std::string old_key = MakeIndexKey(*idx, old_row);
+    const std::string old_key = MakeIndexKey(*idx, rid);
     const std::string new_key = MakeIndexKey(*idx, row);
     if (old_key == new_key) continue;  // untouched index: no maintenance
     BTreeIndex& btree = btrees_[idx->id];
@@ -245,10 +252,9 @@ Status Database::DeleteRow(catalog::TableId table, RowId rid,
   if (!heap.IsLive(rid)) {
     return Status::NotFound("delete of dead row");
   }
-  const Row old_row = heap.row(rid);
   for (const catalog::IndexDef* idx :
        catalog_.TableIndexes(table, /*include_hypothetical=*/false)) {
-    btrees_[idx->id].Erase(MakeIndexKey(*idx, old_row), rid);
+    btrees_[idx->id].Erase(MakeIndexKey(*idx, rid), rid);
     if (cost) {
       ++cost->index_entries_written;
       ++cost->indexes_touched;
@@ -272,9 +278,9 @@ void Database::AnalyzeTable(catalog::TableId table, int histogram_buckets) {
     // Strings are hashed into the int64 domain: the histogram becomes a
     // hash histogram (useless for ranges, fine for NDV/equality, which is
     // all string predicates use).
-    heap.Scan([&](RowId, const Row& row) {
-      const sql::Value& v = row[c];
-      switch (v.kind()) {
+    heap.ForEachLive([&](RowId, SlotRef ref) {
+      const ValueView v = ref.value(c);
+      switch (v.kind) {
         case sql::Value::Kind::kNull:
           ++nulls;
           break;
@@ -286,7 +292,7 @@ void Database::AnalyzeTable(catalog::TableId table, int histogram_buckets) {
           break;
         case sql::Value::Kind::kString: {
           uint64_t h = 1469598103934665603ULL;
-          for (char ch : v.AsString()) {
+          for (char ch : v.text) {
             h ^= static_cast<uint8_t>(ch);
             h *= 1099511628211ULL;
           }

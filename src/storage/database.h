@@ -118,6 +118,9 @@ class Database {
   /// see AppendKeyPart).
   std::string MakeIndexKey(const catalog::IndexDef& def,
                            const Row& row) const;
+  /// The encoded index key of stored row `rid` of `def.table`, read from
+  /// its lanes.
+  std::string MakeIndexKey(const catalog::IndexDef& def, RowId rid) const;
 
   /// \name Concurrent-traffic protocol
   /// Single-threaded embedders never touch these. Under concurrent OLTP

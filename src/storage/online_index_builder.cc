@@ -83,7 +83,7 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
     const HeapTable& heap = db_->heap(def.table);
     auto it = keys.find(rid);
     if (heap.IsLive(rid)) {
-      std::string key = db_->MakeIndexKey(def, heap.row(rid));
+      std::string key = db_->MakeIndexKey(def, rid);
       if (it != keys.end()) {
         if (it->second == key) return;  // already current
         side.Erase(it->second, rid);
@@ -159,7 +159,7 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
           const uint64_t end = std::min(begin + chunk, snapshot_slots);
           for (RowId rid = begin; rid < end; ++rid) {
             if (!heap.IsLive(rid)) continue;
-            std::string key = db_->MakeIndexKey(def, heap.row(rid));
+            std::string key = db_->MakeIndexKey(def, rid);
             snapshot.Add(key, rid);
             keys.emplace(rid, std::move(key));
             ++report.snapshot_rows;

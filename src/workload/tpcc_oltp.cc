@@ -164,7 +164,7 @@ Status TpccDatabase::InsertOrderLocked(int w, int d, int o_id, Rng* rng,
   for (int64_t ln = 1; ln <= ol_cnt; ++ln) {
     const int i = static_cast<int>(rng->Uniform(I));
     const int64_t qty = 1 + static_cast<int64_t>(rng->Uniform(10));
-    const int64_t price = db_.heap(item_).row(item_rid_[i])[1].AsInt();
+    const int64_t price = db_.heap(item_).value(item_rid_[i], 1).AsInt();
     const size_t sk = static_cast<size_t>(w) * I + i;
     Row srow = db_.heap(stock_).row(stock_rid_[sk]);
     int64_t quantity = srow[2].AsInt() - qty;
@@ -253,7 +253,7 @@ Status TpccDatabase::Delivery(Rng* rng) {
                         return false;  // first only
                       });
     if (!open) continue;  // district has no open order
-    const int64_t o_id = db_.heap(new_orders_).row(no_rid)[2].AsInt();
+    const int64_t o_id = db_.heap(new_orders_).value(no_rid, 2).AsInt();
     AIM_RETURN_NOT_OK(db_.DeleteRow(new_orders_, no_rid));
 
     const std::string order_key = storage::EncodeKey(Ints({w, d, o_id}));

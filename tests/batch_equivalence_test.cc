@@ -1,5 +1,7 @@
 // Row-vs-batch differential suite: the vectorized batch executor must be
-// *bit-identical* to the row-at-a-time interpreter — same rows in the
+// *bit-identical* to the row-at-a-time interpreter (the oracle in
+// tests/row_oracle.h, which reads rows it builds from the heap and shares
+// none of the batch engine's lane code) — same rows in the
 // same order, and the same ExecutionMetrics down to the last bit of
 // cost_units / cpu_seconds (doubles compare in hexfloat, so "close"
 // never passes for "identical"). Per-operator batch counters are
@@ -9,8 +11,9 @@
 // query storms over a tuned single-table schema, hand-written edge
 // statements (skip scans, index-merge ORs, IS NULL, LIKE, '?' params,
 // LIMIT early-stop), TPC-C analytical probes with interleaved DML on
-// database copies, and whole AIM pipeline runs replayed under either
-// engine at 1/2/8 threads with the what-if cache on and off.
+// database copies, and whole AIM pipeline runs whose validation evidence
+// the oracle re-derives, at 1/2/8 threads with the what-if cache on and
+// off.
 //
 // Run with `ctest -L batch` (and under TSan: AIM_SANITIZE=thread).
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "core/aim.h"
 #include "executor/executor.h"
 #include "sql/parser.h"
+#include "tests/row_oracle.h"
 #include "tests/test_util.h"
 #include "workload/tpcc_oltp.h"
 #include "workload/tpch.h"
@@ -62,24 +66,14 @@ std::string ResultSignature(const executor::ExecuteResult& r) {
   return out.str();
 }
 
-executor::ExecutorOptions EngineOptions(executor::EngineKind kind) {
-  executor::ExecutorOptions options;
-  options.engine = kind;
-  return options;
-}
-
-/// Executes `sql` under both engines against the same database and
-/// demands identical signatures. Returns the batch result for callers
-/// that want to assert more.
+/// Executes `sql` on the oracle and the batch engine against the same
+/// database and demands identical signatures. Returns the batch result
+/// for callers that want to assert more.
 executor::ExecuteResult ExpectEnginesAgree(storage::Database* db,
                                            const std::string& sql) {
   const sql::Statement stmt = MustParse(sql);
-  executor::Executor row_exec(
-      db, optimizer::CostModel(),
-      EngineOptions(executor::EngineKind::kRowAtATime));
-  executor::Executor batch_exec(
-      db, optimizer::CostModel(),
-      EngineOptions(executor::EngineKind::kBatch));
+  testing::RowOracle row_exec(db, optimizer::CostModel());
+  executor::Executor batch_exec(db, optimizer::CostModel());
   Result<executor::ExecuteResult> row = row_exec.Execute(stmt);
   Result<executor::ExecuteResult> batch = batch_exec.Execute(stmt);
   EXPECT_TRUE(row.ok()) << sql << ": " << row.status().ToString();
@@ -372,12 +366,8 @@ TEST(BatchEquivalenceTest, DmlSequencesKeepCopiesIdentical) {
   // SELECT in between must see the same mutated heap.
   storage::Database db_row = base;
   storage::Database db_batch = base;
-  executor::Executor row_exec(
-      &db_row, optimizer::CostModel(),
-      EngineOptions(executor::EngineKind::kRowAtATime));
-  executor::Executor batch_exec(
-      &db_batch, optimizer::CostModel(),
-      EngineOptions(executor::EngineKind::kBatch));
+  testing::RowOracle row_exec(&db_row, optimizer::CostModel());
+  executor::Executor batch_exec(&db_batch, optimizer::CostModel());
 
   const char* kScript[] = {
       "SELECT id, score FROM users WHERE org_id = 3",
@@ -408,20 +398,26 @@ TEST(BatchEquivalenceTest, DmlSequencesKeepCopiesIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-pipeline equivalence: the AIM run's validation replay under
-// either engine, across thread counts and cache settings.
+// Whole-pipeline equivalence: the AIM run's validation evidence from the
+// batch replay or re-derived by the oracle, across thread counts and
+// cache settings.
+
+/// Who replays the validation workload: the run itself (batch engine) or
+/// the oracle (testing::OracleRunOnce).
+enum class Replay { kRowOracle, kBatch };
 
 std::string PipelineSignature(const storage::Database& base,
-                              const workload::Workload& w,
-                              executor::EngineKind engine, int threads,
-                              size_t cache_entries) {
+                              const workload::Workload& w, Replay engine,
+                              int threads, size_t cache_entries) {
   storage::Database db = base;
   core::AimOptions options;
   options.num_threads = threads;
   options.what_if_cache_entries = cache_entries;
-  options.validation.replay_engine = engine;
-  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
-  Result<core::AimReport> r = aim.RunOnce(w, nullptr);
+  Result<core::AimReport> r =
+      engine == Replay::kRowOracle
+          ? testing::OracleRunOnce(&db, w, optimizer::CostModel(), options)
+          : core::AutomaticIndexManager(&db, optimizer::CostModel(), options)
+                .RunOnce(w, nullptr);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (!r.ok()) return "";
   const core::AimReport& report = r.ValueOrDie();
@@ -465,20 +461,18 @@ TEST(BatchEquivalenceTest, PipelineBitIdenticalAcrossEngines) {
       w.Add("UPDATE users SET score = 1 WHERE org_id = 3", 4.0).ok());
 
   for (size_t cache : {size_t{4096}, size_t{0}}) {
-    const std::string row_serial = PipelineSignature(
-        base, w, executor::EngineKind::kRowAtATime, 1, cache);
+    const std::string row_serial =
+        PipelineSignature(base, w, Replay::kRowOracle, 1, cache);
     ASSERT_NE(row_serial.find("idx "), std::string::npos)
         << "pipeline recommended nothing:\n"
         << row_serial;
     for (int threads : {1, 2, 8}) {
       EXPECT_EQ(row_serial,
-                PipelineSignature(base, w, executor::EngineKind::kBatch,
-                                  threads, cache))
+                PipelineSignature(base, w, Replay::kBatch, threads, cache))
           << "threads=" << threads << " cache=" << cache;
       EXPECT_EQ(row_serial,
-                PipelineSignature(base, w,
-                                  executor::EngineKind::kRowAtATime,
-                                  threads, cache))
+                PipelineSignature(base, w, Replay::kRowOracle, threads,
+                                  cache))
           << "threads=" << threads << " cache=" << cache;
     }
   }

@@ -24,6 +24,7 @@
 #include "core/sharding.h"
 #include "obs/trace.h"
 #include "optimizer/what_if_cache.h"
+#include "tests/row_oracle.h"
 #include "tests/test_util.h"
 
 namespace aim {
@@ -145,18 +146,20 @@ std::string ShardedSignature(const core::ShardedReport& report,
 // ---------------------------------------------------------------------------
 // Single-database pipeline
 
+/// `oracle_replay` re-derives the validation evidence with the row oracle
+/// (testing::OracleRunOnce) instead of the run's batch replay.
 std::string RunAim(const storage::Database& base,
                    const workload::Workload& w, int threads,
-                   size_t cache_entries,
-                   executor::EngineKind replay_engine =
-                       executor::EngineKind::kBatch) {
+                   size_t cache_entries, bool oracle_replay = false) {
   storage::Database db = base;
   core::AimOptions options;
   options.num_threads = threads;
   options.what_if_cache_entries = cache_entries;
-  options.validation.replay_engine = replay_engine;
-  core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
-  Result<core::AimReport> r = aim.RunOnce(w, nullptr);
+  Result<core::AimReport> r =
+      oracle_replay
+          ? testing::OracleRunOnce(&db, w, optimizer::CostModel(), options)
+          : core::AutomaticIndexManager(&db, optimizer::CostModel(), options)
+                .RunOnce(w, nullptr);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (!r.ok()) return "";
   return AimSignature(r.ValueOrDie()) + CatalogSignature(db);
@@ -175,22 +178,21 @@ TEST(EquivalenceTest, AimPipelineBitIdenticalAcrossThreads) {
   }
 }
 
-// The replay-engine knob is a third equivalence dimension next to thread
+// The replay engine is a third equivalence dimension next to thread
 // count and cache size: the vectorized batch executor and the row
-// interpreter must drive the validation replay to bit-identical
-// evidence. Deeper row-vs-batch coverage lives in `ctest -L batch`.
+// interpreter (the oracle in tests/row_oracle.h) must drive the
+// validation replay to bit-identical evidence. Deeper row-vs-batch
+// coverage lives in `ctest -L batch`.
 TEST(EquivalenceTest, AimPipelineBitIdenticalAcrossReplayEngines) {
   FaultRegistry::Instance().DisarmAll();
   const storage::Database base = MakeUsersDb(500, /*seed=*/7);
   const workload::Workload w = EquivalenceWorkload();
   for (size_t cache : {size_t{4096}, size_t{0}}) {
-    const std::string row = RunAim(base, w, 1, cache,
-                                   executor::EngineKind::kRowAtATime);
+    const std::string row = RunAim(base, w, 1, cache, /*oracle_replay=*/true);
     ASSERT_NE(row.find("idx "), std::string::npos)
         << "equivalence run recommended nothing:\n" << row;
     for (int threads : {1, 2, 8}) {
-      EXPECT_EQ(row, RunAim(base, w, threads, cache,
-                            executor::EngineKind::kBatch))
+      EXPECT_EQ(row, RunAim(base, w, threads, cache))
           << "threads=" << threads << " cache=" << cache;
     }
   }

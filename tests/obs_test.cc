@@ -30,6 +30,7 @@
 #include "obs/trace.h"
 #include "optimizer/what_if_cache.h"
 #include "storage/online_index_builder.h"
+#include "tests/row_oracle.h"
 #include "tests/test_util.h"
 
 namespace aim::obs {
@@ -404,9 +405,7 @@ TEST(TraceExportTest, BatchExecutorCountersTrackDefaultEngine) {
   EXPECT_EQ(count->value(), count_before + 1);
   EXPECT_GE(rows->value(), rows_before + 500);  // full scan feeds 500 rows
 
-  executor::ExecutorOptions row_options;
-  row_options.engine = executor::EngineKind::kRowAtATime;
-  executor::Executor row_exec(&db, optimizer::CostModel(), row_options);
+  testing::RowOracle row_exec(&db, optimizer::CostModel());
   const uint64_t count_mid = count->value();
   ASSERT_TRUE(row_exec.Execute(stmt).ok());
   EXPECT_EQ(count->value(), count_mid);
