@@ -31,14 +31,12 @@ struct ReplayStats {
 /// read-only, so repeated replay on the same database is exactly the
 /// clone-validation access pattern.
 template <typename Engine>
-ReplayStats Replay(storage::Database* db, const workload::Workload& w,
-                   int repeats) {
-  Engine exec(db, optimizer::CostModel());
+ReplayStats Replay(Engine* exec, const workload::Workload& w, int repeats) {
   ReplayStats out;
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < repeats; ++r) {
     for (const workload::Query& q : w.queries) {
-      Result<executor::ExecuteResult> res = exec.Execute(q.stmt);
+      Result<executor::ExecuteResult> res = exec->Execute(q.stmt);
       if (!res.ok()) {
         std::fprintf(stderr, "replay failed: %s\n",
                      res.status().ToString().c_str());
@@ -106,12 +104,14 @@ int main() {
   }
 
   constexpr int kRepeats = 6;
-  // Warm both paths once (page in heaps/indexes) before timing.
-  Replay<executor::Executor>(&db, w.ValueOrDie(), 1);
-  const ReplayStats row =
-      Replay<testing::RowOracle>(&db, w.ValueOrDie(), kRepeats);
-  const ReplayStats batch =
-      Replay<executor::Executor>(&db, w.ValueOrDie(), kRepeats);
+  // Warm both engines once before timing: page in heaps and indexes, and
+  // let the oracle build its rows of Values (tests/row_oracle.h).
+  testing::RowOracle oracle(&db, optimizer::CostModel());
+  executor::Executor exec(&db, optimizer::CostModel());
+  Replay(&oracle, w.ValueOrDie(), 1);
+  Replay(&exec, w.ValueOrDie(), 1);
+  const ReplayStats row = Replay(&oracle, w.ValueOrDie(), kRepeats);
+  const ReplayStats batch = Replay(&exec, w.ValueOrDie(), kRepeats);
 
   const double speedup = batch.seconds > 0 ? row.seconds / batch.seconds : 0;
   std::printf("%-14s %8.3fs  %9.0f stmts/s  %12.0f rows/s\n", "row engine",

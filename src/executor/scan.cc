@@ -269,45 +269,40 @@ void GatherInvariant(const StepAccess& a, Production* out) {
   }
 }
 
-void BuildLaneProbes(const StepAccess& a, const storage::SlotRef* bound,
-                     std::vector<std::string>* out) {
-  if (a.probes_per_lane == 1) {
-    // One option per part (the common join probe): no enumeration.
-    std::string& probe = out->emplace_back();
-    for (const KeyPart& kp : a.parts) {
-      if (kp.join_bound) {
-        storage::AppendKeyPart(bound[kp.src_instance].value(kp.src_column),
-                               &probe);
-      } else {
-        storage::AppendKeyPart(kp.literals[0], &probe);
-      }
-    }
+namespace {
+
+/// Appends the probes of key parts `pos`.. to `*probe`: an odometer over
+/// the parts, first part slowest (the interpreter's enumeration order);
+/// join-bound parts contribute the single partner value.
+void AppendLaneProbes(const StepAccess& a, const storage::SlotRef* bound,
+                      size_t pos, std::string* probe,
+                      std::vector<std::string>* out) {
+  if (pos == a.parts.size()) {
+    out->push_back(*probe);
     return;
   }
-  // Odometer over key parts, first part slowest (interpreter enumeration
-  // order); join-bound parts contribute the single partner value.
+  const KeyPart& kp = a.parts[pos];
+  const size_t mark = probe->size();
+  if (kp.join_bound) {
+    storage::AppendKeyPart(bound[kp.src_instance].value(kp.src_column),
+                           probe);
+    AppendLaneProbes(a, bound, pos + 1, probe, out);
+    probe->resize(mark);
+    return;
+  }
+  for (const Value& v : kp.literals) {
+    storage::AppendKeyPart(v, probe);
+    AppendLaneProbes(a, bound, pos + 1, probe, out);
+    probe->resize(mark);
+  }
+}
+
+}  // namespace
+
+void BuildLaneProbes(const StepAccess& a, const storage::SlotRef* bound,
+                     std::vector<std::string>* out) {
   std::string probe;
-  std::function<void(size_t)> enumerate = [&](size_t pos) {
-    if (pos == a.parts.size()) {
-      out->push_back(probe);
-      return;
-    }
-    const KeyPart& kp = a.parts[pos];
-    const size_t mark = probe.size();
-    if (kp.join_bound) {
-      storage::AppendKeyPart(bound[kp.src_instance].value(kp.src_column),
-                             &probe);
-      enumerate(pos + 1);
-      probe.resize(mark);
-      return;
-    }
-    for (const Value& v : kp.literals) {
-      storage::AppendKeyPart(v, &probe);
-      enumerate(pos + 1);
-      probe.resize(mark);
-    }
-  };
-  enumerate(0);
+  AppendLaneProbes(a, bound, 0, &probe, out);
 }
 
 }  // namespace aim::executor

@@ -182,47 +182,6 @@ BTreeIndex::Pos BTreeIndex::LowerBound(std::string_view a,
              static_cast<size_t>(slot - found.slots.begin())};
 }
 
-namespace {
-
-/// The first i in [lo, n) with !before(i) (n if none), for a predicate
-/// true on a prefix of [lo, n): exponential steps from `lo`, then a binary
-/// search inside the last step.
-template <typename Before>
-size_t Gallop(size_t lo, size_t n, const Before& before) {
-  size_t hi = lo;
-  for (size_t step = 1; hi < n && before(hi); step *= 2) {
-    lo = hi + 1;
-    hi = lo + step;
-  }
-  size_t end = std::min(hi, n);
-  while (lo < end) {
-    const size_t mid = lo + (end - lo) / 2;
-    if (before(mid)) {
-      lo = mid + 1;
-    } else {
-      end = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
-
-BTreeIndex::Pos BTreeIndex::LowerBoundFrom(Pos from, std::string_view a,
-                                           std::string_view b) const {
-  const Leaves& leaves = *leaves_;
-  size_t leaf = Gallop(from.leaf, leaves.size(), [&](size_t i) {
-    return CompareConcat(leaves[i]->last_key(), a, b) < 0;
-  });
-  if (leaf == leaves.size()) return Pos{leaves.size(), 0};
-  const Leaf& found = *leaves[leaf];
-  const size_t slot = Gallop(leaf == from.leaf ? from.slot : 0,
-                             found.slots.size(), [&](size_t i) {
-                               return CompareConcat(found.key(i), a, b) < 0;
-                             });
-  return Pos{leaf, slot};
-}
-
 void BTreeIndex::Advance(Pos* pos) const {
   if (++pos->slot == (*leaves_)[pos->leaf]->slots.size()) {
     ++pos->leaf;
@@ -409,23 +368,15 @@ void BTreeIndex::GatherPrefixBatch(const std::vector<std::string>& probes,
   spans->resize(probes.size());
   const std::string* prev = nullptr;
   ProbeSpan prev_span;
-  Pos from;  // every entry before it sorts before the current probe
   for (const size_t i : order) {
     const std::string& probe = probes[i];
     if (prev != nullptr && probe == *prev) {
       (*spans)[i] = prev_span;  // duplicate prefix: reuse the descent
       continue;
     }
-    // An ascending probe keeps ascending once the lower bound is
-    // appended, unless the previous probe is a proper prefix of it; any
-    // other probe searches from the start.
-    if (prev != nullptr && (probe < *prev || probe.starts_with(*prev))) {
-      from = Pos{};
-    }
-    from = LowerBoundFrom(from, probe, range.lower);
     ProbeSpan span;
     span.begin = hits->size();
-    Walk(from, probe, range, &span.visited,
+    Walk(LowerBound(probe, range.lower), probe, range, &span.visited,
          [&](RowId rid, uint64_t v) {
            hits->push_back(IndexHit{rid, v});
            return true;

@@ -110,10 +110,9 @@ class BTreeIndex {
   /// `order` indexes into `probes` (encoded prefixes) and must be sorted
   /// so equal prefixes are adjacent (the caller sorts once per input
   /// batch, SortedKeyOrder); consecutive duplicates reuse the previous
-  /// descent's hit span instead of re-walking the tree, and each ascending
-  /// probe searches forward from the previous one's position. `spans` is
-  /// written per *original* probe position (spans[i] describes probes[i]),
-  /// so callers can account probes in their canonical enumeration order.
+  /// descent's hit span instead of re-walking the tree. `spans` is written
+  /// per *original* probe position (spans[i] describes probes[i]), so
+  /// callers can account probes in their canonical enumeration order.
   void GatherPrefixBatch(const std::vector<std::string>& probes,
                          const std::vector<size_t>& order,
                          const std::optional<KeyBound>& lower,
@@ -165,10 +164,6 @@ class BTreeIndex {
 
   /// First entry whose key is >= `a` + `b` (concatenated).
   Pos LowerBound(std::string_view a, std::string_view b = {}) const;
-  /// LowerBound for a key no entry before `from` reaches (every entry
-  /// before `from` sorts before `a` + `b`): gallops forward from `from`,
-  /// so a run of ascending keys costs a few comparisons each.
-  Pos LowerBoundFrom(Pos from, std::string_view a, std::string_view b) const;
   void Advance(Pos* pos) const;
   /// Walks entries from `pos` while they start with `prefix`, applying the
   /// range to the key part after it; `visited` accumulates. Returns false

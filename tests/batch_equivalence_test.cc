@@ -11,8 +11,8 @@
 // query storms over a tuned single-table schema, hand-written edge
 // statements (skip scans, index-merge ORs, IS NULL, LIKE, '?' params,
 // LIMIT early-stop), TPC-C analytical probes with interleaved DML on
-// database copies, and whole AIM pipeline runs whose validation evidence
-// the oracle re-derives, at 1/2/8 threads with the what-if cache on and
+// database copies, and whole AIM pipeline runs whose validation replay
+// the oracle checks statement by statement, at 1/2/8 threads with the what-if cache on and
 // off.
 //
 // Run with `ctest -L batch` (and under TSan: AIM_SANITIZE=thread).
@@ -398,12 +398,12 @@ TEST(BatchEquivalenceTest, DmlSequencesKeepCopiesIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-pipeline equivalence: the AIM run's validation evidence from the
-// batch replay or re-derived by the oracle, across thread counts and
-// cache settings.
+// Whole-pipeline equivalence: the AIM run's validation evidence across
+// thread counts and cache settings, with the validation replay checked
+// against the oracle.
 
-/// Who replays the validation workload: the run itself (batch engine) or
-/// the oracle (testing::OracleRunOnce).
+/// Whether the run's validation replay is first checked statement by
+/// statement against the oracle (testing::OracleRunOnce).
 enum class Replay { kRowOracle, kBatch };
 
 std::string PipelineSignature(const storage::Database& base,

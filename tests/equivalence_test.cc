@@ -146,8 +146,8 @@ std::string ShardedSignature(const core::ShardedReport& report,
 // ---------------------------------------------------------------------------
 // Single-database pipeline
 
-/// `oracle_replay` re-derives the validation evidence with the row oracle
-/// (testing::OracleRunOnce) instead of the run's batch replay.
+/// `oracle_replay` first checks the run's validation replay against the
+/// row oracle statement by statement (testing::OracleRunOnce).
 std::string RunAim(const storage::Database& base,
                    const workload::Workload& w, int threads,
                    size_t cache_entries, bool oracle_replay = false) {
@@ -180,8 +180,8 @@ TEST(EquivalenceTest, AimPipelineBitIdenticalAcrossThreads) {
 
 // The replay engine is a third equivalence dimension next to thread
 // count and cache size: the vectorized batch executor and the row
-// interpreter (the oracle in tests/row_oracle.h) must drive the
-// validation replay to bit-identical evidence. Deeper row-vs-batch
+// interpreter (the oracle in tests/row_oracle.h) must agree on every
+// statement of the validation replay, metrics bit for bit. Deeper row-vs-batch
 // coverage lives in `ctest -L batch`.
 TEST(EquivalenceTest, AimPipelineBitIdenticalAcrossReplayEngines) {
   FaultRegistry::Instance().DisarmAll();

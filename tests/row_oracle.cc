@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -187,12 +188,18 @@ class RowBinding {
 /// This is the original interpreter, kept in structure as the
 /// differential oracle for the batch engine. Its accounting goes to the
 /// per-step cost slots (see exec_common.h for why that preserves
-/// bit-identity), and it binds rows it builds from the heap by value.
+/// bit-identity), and it binds the rows RowOracle materialized from the
+/// heap: `rows[instance][rid]` is row `rid` of that instance's table.
 class NestedLoopDriver {
  public:
   NestedLoopDriver(ExecContext* ctx, RowBinding* binding, const Plan* plan,
+                   std::vector<const std::vector<Row>*> rows,
                    std::function<bool()> emit)
-      : ctx_(ctx), binding_(binding), plan_(plan), emit_(std::move(emit)) {}
+      : ctx_(ctx),
+        binding_(binding),
+        plan_(plan),
+        rows_(std::move(rows)),
+        emit_(std::move(emit)) {}
 
   void Run() { RunStep(0); }
 
@@ -206,6 +213,7 @@ class NestedLoopDriver {
     const int instance = step.instance;
     const auto& inst = ctx_->query().instances[instance];
     const storage::HeapTable& heap = ctx_->db()->heap(inst.table);
+    const std::vector<Row>& rows = *rows_[instance];
 
     bool keep_going = true;
     auto consider_row = [&](const Row& row, bool via_index,
@@ -234,8 +242,17 @@ class NestedLoopDriver {
       return keep_going;
     };
     auto consider = [&](RowId rid, bool via_index, bool covering) -> bool {
-      const Row row = heap.row(rid);
-      return consider_row(row, via_index, covering);
+      return consider_row(rows[rid], via_index, covering);
+    };
+    // Visits every live row in row-id order; returns the rows visited.
+    auto scan = [&]() -> uint64_t {
+      uint64_t visited = 0;
+      for (RowId rid = 0; rid < rows.size(); ++rid) {
+        if (!heap.IsLive(rid)) continue;
+        ++visited;
+        if (!consider_row(rows[rid], false, false)) break;
+      }
+      return visited;
     };
 
     if (step.path.is_index_merge()) {
@@ -329,9 +346,7 @@ class NestedLoopDriver {
     }
 
     if (step.path.is_full_scan()) {
-      const uint64_t visited = heap.Scan([&](RowId, const Row& row) {
-        return consider_row(row, /*via_index=*/false, /*covering=*/false);
-      });
+      const uint64_t visited = scan();
       ctx_->metrics.rows_examined += visited;
       // Scan cost: sequential pages + per-row CPU.
       const auto& cat = ctx_->db()->catalog();
@@ -351,9 +366,7 @@ class NestedLoopDriver {
     const storage::BTreeIndex* btree = ctx_->db()->btree(index.id);
     if (btree == nullptr) {
       // Hypothetical index leaked into an execution plan; treat as scan.
-      const uint64_t visited = heap.Scan([&](RowId, const Row& row) {
-        return consider_row(row, false, false);
-      });
+      const uint64_t visited = scan();
       ctx_->metrics.rows_examined += visited;
       return keep_going;
     }
@@ -468,6 +481,7 @@ class NestedLoopDriver {
   ExecContext* ctx_;
   RowBinding* binding_;
   const Plan* plan_;
+  std::vector<const std::vector<Row>*> rows_;  // by instance
   std::function<bool()> emit_;
   const Expr* where_ = nullptr;
 };
@@ -517,8 +531,9 @@ struct RowAggState {
 };
 
 /// The interpreter's output sink: projection, grouping through a
-/// std::map<Row, RowLess>, ordering and LIMIT. Emit() returns false when
-/// execution can stop (LIMIT reached with no sort or grouping pending).
+/// std::map<Row, RowLess>, ordering and LIMIT. Column references are
+/// resolved once, at construction. Emit() returns false when execution
+/// can stop (LIMIT reached with no sort or grouping pending).
 class RowSink {
  public:
   RowSink(const sql::SelectStatement& select, const AnalyzedQuery& query,
@@ -528,12 +543,20 @@ class RowSink {
     needs_sort_ = plan.needs_sort;
     limit_ = select.limit >= 0 ? select.limit : -1;
     can_stop_early_ = !grouped_ && !needs_sort_ && limit_ >= 0;
+    for (const auto& item : select.select_list) {
+      const bool argument = item->kind == Expr::Kind::kAggregate &&
+                            !item->children.empty() &&
+                            item->children[0]->kind != Expr::Kind::kStar;
+      items_.push_back(Resolve(argument ? *item->children[0] : *item));
+    }
+    for (const auto& o : select.order_by) order_.push_back(Resolve(*o.expr));
+    for (const auto& g : select.group_by) group_.push_back(Resolve(*g));
   }
 
   bool Emit() {
     if (grouped_) {
       Row key;
-      for (const auto& g : select_.group_by) key.push_back(ValueOf(*g));
+      for (const ValueRef& g : group_) key.push_back(ValueOf(g));
       auto [it, inserted] = groups_.try_emplace(key, select_.select_list.size());
       if (inserted) first_values_.emplace(key, Project());
       for (size_t i = 0; i < select_.select_list.size(); ++i) {
@@ -543,13 +566,13 @@ class RowSink {
             item.children[0]->kind == Expr::Kind::kStar) {
           it->second[i].Add(Value::Int(1));
         } else {
-          it->second[i].Add(ValueOf(*item.children[0]));
+          it->second[i].Add(ValueOf(items_[i]));
         }
       }
       return true;
     }
     Row key;
-    for (const auto& o : select_.order_by) key.push_back(ValueOf(*o.expr));
+    for (const ValueRef& o : order_) key.push_back(ValueOf(o));
     ungrouped_.emplace_back(std::move(key), Project());
     ++emitted_;
     return !(can_stop_early_ && emitted_ >= limit_);
@@ -599,15 +622,33 @@ class RowSink {
   }
 
  private:
-  Value ValueOf(const Expr& e) const {
-    std::optional<Value> v = binding_->Eval(e);
-    return v.has_value() ? *v : Value::Null();
+  /// An expression as RowBinding::Eval would read it: a literal, a
+  /// column of a query instance, or neither (NULL).
+  struct ValueRef {
+    std::optional<Value> literal;
+    std::optional<optimizer::BoundColumn> column;
+  };
+
+  ValueRef Resolve(const Expr& e) const {
+    ValueRef r;
+    if (e.kind == Expr::Kind::kLiteral) r.literal = e.value;
+    if (e.kind == Expr::Kind::kColumn) r.column = ctx_->Resolve(e);
+    return r;
+  }
+
+  Value ValueOf(const ValueRef& r) const {
+    if (r.literal.has_value()) return *r.literal;
+    if (r.column.has_value()) {
+      const Row* row = binding_->bound(r.column->instance);
+      if (row != nullptr) return (*row)[r.column->column];
+    }
+    return Value::Null();
   }
 
   Row Project() const {
     Row out;
-    for (const auto& item : select_.select_list) {
-      switch (item->kind) {
+    for (size_t i = 0; i < select_.select_list.size(); ++i) {
+      switch (select_.select_list[i]->kind) {
         case Expr::Kind::kStar:
           for (size_t i = 0; i < ctx_->num_instances(); ++i) {
             const Row* row = binding_->bound(static_cast<int>(i));
@@ -618,7 +659,7 @@ class RowSink {
           out.push_back(Value::Null());  // filled during finalization
           break;
         default:
-          out.push_back(ValueOf(*item));
+          out.push_back(ValueOf(items_[i]));
           break;
       }
     }
@@ -632,6 +673,9 @@ class RowSink {
   bool needs_sort_ = false;
   int64_t limit_ = -1;
   bool can_stop_early_ = false;
+  std::vector<ValueRef> items_;  // by select item; an aggregate's argument
+  std::vector<ValueRef> order_;
+  std::vector<ValueRef> group_;
   std::map<Row, std::vector<RowAggState>, storage::RowLess> groups_;
   std::map<Row, Row, storage::RowLess> first_values_;
   std::vector<std::pair<Row, Row>> ungrouped_;  // (sort key, output row)
@@ -639,6 +683,21 @@ class RowSink {
 };
 
 }  // namespace
+
+const std::vector<Row>& RowOracle::Rows(catalog::TableId table) {
+  const storage::HeapTable& heap = db_->heap(table);
+  TableRows& t = rows_[table];
+  if (!t.built || t.stamp != heap.stamp() ||
+      t.rows.size() != heap.slot_count()) {
+    t.rows.assign(heap.slot_count(), Row{});
+    for (RowId rid = 0; rid < t.rows.size(); ++rid) {
+      if (heap.IsLive(rid)) t.rows[rid] = heap.row(rid);
+    }
+    t.stamp = heap.stamp();
+    t.built = true;
+  }
+  return t.rows;
+}
 
 Result<ExecuteResult> RowOracle::Execute(const sql::Statement& stmt) {
   if (stmt.kind != sql::Statement::Kind::kSelect) {
@@ -651,10 +710,13 @@ Result<ExecuteResult> RowOracle::Execute(const sql::Statement& stmt) {
   options.include_hypothetical = false;
   const Plan plan = opt.OptimizeAnalyzed(query, options);
 
+  std::vector<const std::vector<Row>*> rows;
+  for (const auto& inst : query.instances) rows.push_back(&Rows(inst.table));
   ExecContext ctx(db_, &query, &cm_, std::max<size_t>(plan.steps.size(), 1));
   RowBinding binding(&ctx);
   RowSink sink(*stmt.select, query, plan, &ctx, &binding);
-  NestedLoopDriver driver(&ctx, &binding, &plan, [&] { return sink.Emit(); });
+  NestedLoopDriver driver(&ctx, &binding, &plan, std::move(rows),
+                          [&] { return sink.Emit(); });
   driver.set_where(stmt.select->where.get());
   driver.Run();
   ExecuteResult result;
@@ -665,103 +727,77 @@ Result<ExecuteResult> RowOracle::Execute(const sql::Statement& stmt) {
   return result;
 }
 
-core::CloneValidationResult OracleValidateOnClone(
-    const storage::Database& production,
-    const std::vector<core::CandidateIndex>& selected,
-    const std::vector<core::SelectedQuery>& queries, optimizer::CostModel cm,
-    const core::CloneValidationOptions& options) {
-  core::CloneValidationResult result;
-  if (selected.empty()) return result;
-  using Outcome = Result<ExecutionMetrics>;
-  auto replay = [&](storage::Database* db) {
+namespace {
+
+/// Every ExecutionMetrics field the two engines must agree on (all but the
+/// batch engine's per-operator counters), doubles bit-exact; or the
+/// failure status.
+std::string MetricsSignature(const Result<ExecuteResult>& r) {
+  if (!r.ok()) return "error " + r.status().ToString();
+  const ExecutionMetrics& m = r.ValueOrDie().metrics;
+  std::ostringstream out;
+  out << std::hexfloat << "examined=" << m.rows_examined
+      << " entries=" << m.index_entries_read << " heap=" << m.heap_rows_read
+      << " pk=" << m.pk_lookups << " sent=" << m.rows_sent
+      << " modified=" << m.rows_modified
+      << " written=" << m.index_entries_written << " sorted=" << m.rows_sorted
+      << " cost=" << m.cost_units << " cpu=" << m.cpu_seconds << " used=";
+  for (catalog::IndexId id : m.used_indexes) out << id << ",";
+  return out.str();
+}
+
+}  // namespace
+
+Status CheckReplay(const storage::Database& production,
+                   const std::vector<core::CandidateIndex>& selected,
+                   const std::vector<core::SelectedQuery>& queries,
+                   optimizer::CostModel cm) {
+  if (selected.empty()) return Status::OK();
+  auto replay = [&](storage::Database* db, const char* clone) -> Status {
     RowOracle oracle(db, cm);
-    std::vector<Outcome> out;
+    executor::Executor exec(db, cm);
     for (const core::SelectedQuery& sq : queries) {
-      Result<ExecuteResult> r = oracle.Execute(sq.query->stmt);
-      out.push_back(r.ok() ? Outcome(r.ValueOrDie().metrics)
-                           : Outcome(r.status()));
+      const sql::Statement& stmt = sq.query->stmt;
+      if (stmt.is_dml()) {
+        (void)exec.Execute(stmt);  // one path for DML; advances the clone
+        continue;
+      }
+      const std::string row = MetricsSignature(oracle.Execute(stmt));
+      const std::string batch = MetricsSignature(exec.Execute(stmt));
+      if (row != batch) {
+        return Status::Internal(std::string(clone) + " replay of query " +
+                                std::to_string(sq.query->fingerprint) +
+                                ": oracle {" + row + "} batch {" + batch +
+                                "}");
+      }
     }
-    return out;
+    return Status::OK();
   };
   storage::Database control = production;
-  const std::vector<Outcome> before = replay(&control);
+  AIM_RETURN_NOT_OK(replay(&control, "control"));
   storage::Database test = production;
-  std::vector<catalog::IndexId> created;
   for (const core::CandidateIndex& c : selected) {
     catalog::IndexDef def = c.def;
     def.hypothetical = false;
-    Result<catalog::IndexId> id = test.CreateIndex(def);
-    created.push_back(id.ok() ? id.ValueOrDie() : catalog::kInvalidIndex);
+    (void)test.CreateIndex(def);
   }
-  const std::vector<Outcome> after = replay(&test);
-
-  std::set<catalog::IndexId> used;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (!before[qi].ok() || !after[qi].ok()) {
-      ++result.failed;
-      continue;
-    }
-    const ExecutionMetrics& b = before[qi].ValueOrDie();
-    const ExecutionMetrics& a = after[qi].ValueOrDie();
-    ++result.executed;
-    used.insert(a.used_indexes.begin(), a.used_indexes.end());
-    core::QueryValidation v;
-    v.fingerprint = queries[qi].query->fingerprint;
-    v.cpu_before = b.cpu_seconds;
-    v.cpu_after = a.cpu_seconds;
-    v.improved = v.cpu_after <= (1.0 - options.lambda2) * v.cpu_before &&
-                 v.cpu_before > 0;
-    v.regressed = v.cpu_after > (1.0 + options.lambda3) * v.cpu_before &&
-                  v.cpu_after - v.cpu_before > 1e-9;
-    result.any_query_improved = result.any_query_improved || v.improved;
-    if (v.regressed) result.no_regressions = false;
-    result.per_query.push_back(v);
-  }
-  const size_t replayed = result.executed + result.failed;
-  if (replayed > 0 &&
-      static_cast<double>(result.failed) >
-          options.max_replay_failure_rate * static_cast<double>(replayed)) {
-    result.replay_reliable = false;
-    result.no_regressions = false;
-    result.rejected_unused = selected;
-    return result;
-  }
-  for (size_t i = 0; i < selected.size(); ++i) {
-    if (created[i] == catalog::kInvalidIndex || used.count(created[i]) == 0) {
-      result.rejected_unused.push_back(selected[i]);
-    } else {
-      result.accepted.push_back(selected[i]);
-    }
-  }
-  return result;
+  return replay(&test, "test");
 }
 
 Result<core::AimReport> OracleRunOnce(storage::Database* db,
                                       const workload::Workload& workload,
                                       optimizer::CostModel cm,
                                       const core::AimOptions& options) {
-  storage::Database planning = *db;
-  core::AutomaticIndexManager planner(&planning, cm, options);
-  AIM_ASSIGN_OR_RETURN(core::AimReport proposal,
-                       planner.Recommend(workload, nullptr));
-  core::CloneValidationResult oracle = OracleValidateOnClone(
-      *db, proposal.recommended, proposal.selected_workload, cm,
-      options.validation);
-  core::AutomaticIndexManager aim(db, cm, options);
-  AIM_ASSIGN_OR_RETURN(core::AimReport report, aim.RunOnce(workload, nullptr));
-  if (options.validate_on_clone && !proposal.recommended.empty()) {
-    core::CloneValidationResult& v = report.validation;
-    v.per_query = std::move(oracle.per_query);
-    v.executed = oracle.executed;
-    v.failed = oracle.failed;
-    v.replay_reliable = oracle.replay_reliable;
-    v.any_query_improved = oracle.any_query_improved;
-    v.no_regressions = oracle.no_regressions;
-    v.accepted = oracle.accepted;
-    v.rejected_unused = std::move(oracle.rejected_unused);
-    report.recommended = std::move(oracle.accepted);
+  if (options.validate_on_clone) {
+    storage::Database planning = *db;
+    core::AutomaticIndexManager planner(&planning, cm, options);
+    AIM_ASSIGN_OR_RETURN(core::AimReport proposal,
+                         planner.Recommend(workload, nullptr));
+    AIM_RETURN_NOT_OK(CheckReplay(*db, proposal.recommended,
+                                    proposal.selected_workload, cm));
   }
-  return report;
+  return core::AutomaticIndexManager(db, cm, options).RunOnce(workload,
+                                                              nullptr);
 }
 
 }  // namespace aim::testing
