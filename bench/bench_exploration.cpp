@@ -61,6 +61,17 @@ struct DeployRun {
   double modeled_makespan_seconds = 0.0;
 };
 
+/// `def` as the apply installs it: a real automation index.
+catalog::IndexDef AppliedDef(catalog::IndexDef def) {
+  def.id = catalog::kInvalidIndex;
+  def.hypothetical = false;
+  def.created_by_automation = true;
+  return def;
+}
+
+/// Both sides time the same path — txn.CreateIndex replayed on a fresh
+/// copy of `base` — so the speedup measures ordering alone, not whether a
+/// side adopted the validation clone's trees.
 Result<DeployRun> RunOrdered(const storage::Database& base,
                              const workload::Workload& w) {
   storage::Database db = base;
@@ -77,22 +88,27 @@ Result<DeployRun> RunOrdered(const storage::Database& base,
   run.total_benefit = d.total_benefit_seconds;
   run.modeled_to_half_seconds = d.modeled_time_to_half_benefit_seconds;
   run.modeled_makespan_seconds = d.modeled_makespan_seconds;
-  // Benefit goes live per step commit: accumulate measured build times
-  // (serial slots) until half the total modeled benefit is installed.
-  double wall = 0.0;
+  // Benefit goes live per step commit: replay the plan's installed steps
+  // in order, one transaction each, until half the total modeled benefit
+  // is installed.
+  storage::Database redo = base;
+  const auto apply0 = std::chrono::steady_clock::now();
   run.wall_to_half_seconds = run.wall_total_seconds;
   for (const core::DeploymentStepResult& s : d.steps) {
     if (!s.installed) continue;
-    wall += s.measured_build_seconds;
+    storage::IndexSetTransaction txn(&redo);
+    Result<catalog::IndexId> id = txn.CreateIndex(AppliedDef(s.def));
+    if (!id.ok()) return id.status();
+    txn.Commit();
     if (s.cumulative_benefit_seconds >= 0.5 * run.total_benefit) {
-      run.wall_to_half_seconds = wall;
+      run.wall_to_half_seconds = SecondsSince(apply0);
       break;
     }
   }
   return run;
 }
 
-/// The pre-PR apply path: one IndexSetTransaction creating every index,
+/// The classic apply: one IndexSetTransaction creating every index,
 /// benefit live only at the single commit.
 Result<DeployRun> RunSingleTransaction(const storage::Database& base,
                                        const workload::Workload& w) {
@@ -105,17 +121,11 @@ Result<DeployRun> RunSingleTransaction(const storage::Database& base,
   run.wall_total_seconds = SecondsSince(t0);
   run.installed = r.ValueOrDie().recommended.size();
   // All-or-nothing: the first byte of benefit arrives with the last.
-  // Measure just the apply portion by re-applying the recommended set
-  // through a fresh single transaction on another copy.
   storage::Database redo = base;
   const auto apply0 = std::chrono::steady_clock::now();
   storage::IndexSetTransaction txn(&redo);
   for (const core::CandidateIndex& c : r.ValueOrDie().recommended) {
-    catalog::IndexDef def = c.def;
-    def.id = catalog::kInvalidIndex;
-    def.hypothetical = false;
-    def.created_by_automation = true;
-    Result<catalog::IndexId> id = txn.CreateIndex(def);
+    Result<catalog::IndexId> id = txn.CreateIndex(AppliedDef(c.def));
     if (!id.ok()) return id.status();
   }
   txn.Commit();

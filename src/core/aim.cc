@@ -20,9 +20,21 @@ Status InstallIndex(catalog::IndexDef def, storage::Database* db,
   def.hypothetical = false;
   def.id = catalog::kInvalidIndex;
   def.created_by_automation = true;
+  auto tree = std::find_if(
+      trees->begin(), trees->end(), [&](const ValidatedTree& t) {
+        return t.table == def.table && t.columns == def.columns &&
+               t.heap_stamp == db->heap(def.table).stamp();
+      });
+  const bool adopt = tree != trees->end();
   Status st;
   if (online != nullptr) {
-    Result<storage::OnlineBuildReport> built = online->Build(std::move(def), txn);
+    std::optional<storage::OnlineBuildSeed> seed;
+    if (adopt) {
+      seed = storage::OnlineBuildSeed{db->heap(def.table),
+                                      std::move(tree->tree)};
+    }
+    Result<storage::OnlineBuildReport> built =
+        online->Build(std::move(def), txn, std::move(seed));
     st = built.status();
     if (built.ok()) {
       const storage::OnlineBuildReport& r = built.ValueOrDie();
@@ -32,20 +44,14 @@ Status InstallIndex(catalog::IndexDef def, storage::Database* db,
           std::max(stats->online_max_stall_seconds, r.stall_seconds);
     }
   } else {
-    auto tree = std::find_if(
-        trees->begin(), trees->end(), [&](const ValidatedTree& t) {
-          return t.table == def.table && t.columns == def.columns &&
-                 t.heap_stamp == db->heap(def.table).stamp();
-        });
-    const bool adopt = tree != trees->end();
     st = retry->Run([&] {
                  return adopt ? txn->AdoptIndex(def, &tree->tree)
                               : txn->CreateIndex(def);
                }).status();
-    if (adopt) {
-      if (st.ok()) ++stats->indexes_adopted;
-      trees->erase(tree);
-    }
+  }
+  if (adopt) {
+    if (st.ok()) ++stats->indexes_adopted;
+    trees->erase(tree);
   }
   return st.code() == Status::Code::kAlreadyExists ? Status::OK() : st;
 }
@@ -427,7 +433,7 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     storage::OnlineIndexBuilder builder(target, options_.online);
     for (const CandidateIndex& c : report.recommended) {
       // On failure the txn destructor rolls back prior installs.
-      AIM_RETURN_NOT_OK(InstallIndex(c.def, target,
+      AIM_RETURN_NOT_OK(InstallIndex(c.def, db_,
                                      online ? &builder : nullptr, &retry,
                                      &trees, &txn, &report.stats));
     }
@@ -484,7 +490,7 @@ Status AutomaticIndexManager::ApplyOrdered(std::vector<ValidatedTree>* trees,
       storage::IndexSetTransaction step_txn(
           target, online ? &target->latch() : nullptr);
       if (st.ok()) {
-        st = InstallIndex(result.def, target, online ? &builder : nullptr,
+        st = InstallIndex(result.def, db_, online ? &builder : nullptr,
                           &retry, trees, &step_txn, &report->stats);
       }
       if (st.ok()) step_txn.Commit();

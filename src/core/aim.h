@@ -81,10 +81,11 @@ struct TuningResources {
   optimizer::WhatIfCache* shared_cache = nullptr;
   /// Online-apply target. When set, RunOnce's apply phase installs the
   /// accepted indexes on *this* database through OnlineIndexBuilder
-  /// (side-build + delta catch-up + bounded-stall swap under its latch())
-  /// instead of blocking CreateIndex on `db`. This is how the continuous
-  /// tuner plans on a quiesced snapshot while installing on the live,
-  /// traffic-bearing database. Null = classic blocking apply on `db`.
+  /// (side build or validated tree, chunk-diff catch-up, bounded-stall
+  /// swap under its latch()) instead of blocking CreateIndex on `db`. This
+  /// is how the continuous tuner plans on a quiesced snapshot while
+  /// installing on the live, traffic-bearing database. Null = classic
+  /// blocking apply on `db`.
   storage::Database* online_apply_db = nullptr;
   /// Per-cluster candidate cache — how the continuous tuner makes
   /// candidate generation incremental across intervals. Keys embed the
@@ -111,8 +112,9 @@ struct AimRunStats {
   size_t candidates_evaluated = 0;
   size_t indexes_recommended = 0;
   size_t indexes_rejected_by_validation = 0;
-  /// Applied indexes installed by adopting the test clone's B+Tree instead
-  /// of building them again (classic apply with clone validation).
+  /// Applied indexes installed from the test clone's B+Tree instead of a
+  /// fresh build: adopted as is, or caught up online on an online-apply
+  /// target.
   size_t indexes_adopted = 0;
   /// Plan-cost cache activity attributable to this run (zeros when
   /// disabled). With a shared cache these are deltas against the counters
@@ -141,7 +143,7 @@ struct AimRunStats {
   double shard_validation_seconds = 0.0;
   double shard_apply_seconds = 0.0;
   /// Online-apply extras (zero on the blocking path): indexes installed
-  /// through OnlineIndexBuilder, delta entries applied across those
+  /// through OnlineIndexBuilder, changed rows applied across those
   /// builds, and the worst exclusive swap stall.
   size_t online_builds = 0;
   uint64_t online_delta_applied = 0;
@@ -190,12 +192,13 @@ struct AimReport {
 };
 
 /// Installs one accepted index through `txn` as a production index tagged
-/// `created_by_automation`: an online build when there is an online-apply
-/// target (`online`), else the test clone's tree from `trees` when `db`'s
-/// heap still carries the tree's stamp (counted in
-/// `stats->indexes_adopted`), else a create with `retry`. An index that
-/// already exists counts as installed. The one install step of the
-/// classic, ordered and sharded apply.
+/// `created_by_automation`. The test clone's tree in `trees` is used when
+/// the heap of `db` (the database it was validated on) still carries its
+/// stamp (counted in `stats->indexes_adopted`): an online build when there
+/// is an online-apply target (`online`) starts from it, else `txn` adopts
+/// it. Otherwise the online build or a create with `retry` builds the
+/// index. An index that already exists counts as installed. The one
+/// install step of the classic, ordered and sharded apply.
 Status InstallIndex(catalog::IndexDef def, storage::Database* db,
                     storage::OnlineIndexBuilder* online, RetryPolicy* retry,
                     std::vector<ValidatedTree>* trees,

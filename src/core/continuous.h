@@ -47,10 +47,10 @@ struct ContinuousTunerOptions {
   /// Tune a live, traffic-bearing database. Each Tick then plans and
   /// validates against a snapshot copied under a brief exclusive
   /// acquisition of the database latch(), while accepted indexes install
-  /// on the live database through OnlineIndexBuilder (side-build + delta
-  /// catch-up + bounded-stall swap) and GC drops go through a latch-aware
-  /// transaction. Requires every concurrent writer/reader to follow the
-  /// Database latch() protocol. Build knobs are `aim.online`.
+  /// on the live database through OnlineIndexBuilder (DESIGN.md §9) and
+  /// GC drops go through a latch-aware transaction. Requires every
+  /// concurrent writer/reader to follow the Database latch() protocol.
+  /// Build knobs are `aim.online`.
   bool online_apply = false;
   /// Bandit-guarded exploration (see ExplorationGate). When enabled the
   /// tuner owns a gate: quarantined candidates are excluded from

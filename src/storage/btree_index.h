@@ -192,7 +192,7 @@ std::vector<size_t> SortedKeyOrder(const std::vector<std::string>& keys);
 /// \brief Bulk loader: collects (key, rid) entries in insertion order,
 /// then sorts them by (key, insertion sequence) and packs full leaves
 /// bottom-up. The build path of CreateIndex(es) and of the online
-/// builder's snapshot scan; the result equals inserting the same entries
+/// builder's side tree; the result equals inserting the same entries
 /// one by one, in order.
 class BTreeBuilder {
  public:

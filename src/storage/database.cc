@@ -16,27 +16,33 @@ Database& Database::operator=(const Database& other) {
 }
 
 void Database::CopyFrom(const Database& other) {
-  // Deliberately leaves latch_, dml_hooks_, and next_hook_token_ alone:
-  // a clone is new storage with its own gate and no observers (a shadow
-  // copy must not feed the source's online-build delta logs).
+  // Deliberately leaves latch_ alone: a clone is new storage with its own
+  // gate.
   catalog_ = other.catalog_;
   heaps_ = other.heaps_;
   btrees_ = other.btrees_;
 }
 
-int Database::RegisterDmlHook(DmlHook hook) {
-  const int token = next_hook_token_++;
-  dml_hooks_.emplace_back(token, std::move(hook));
-  return token;
+void AppendIndexKey(const catalog::IndexDef& def, SlotRef ref,
+                    std::string* key) {
+  for (catalog::ColumnId c : def.columns) AppendKeyPart(ref.value(c), key);
 }
 
-void Database::UnregisterDmlHook(int token) {
-  for (auto it = dml_hooks_.begin(); it != dml_hooks_.end(); ++it) {
-    if (it->first == token) {
-      dml_hooks_.erase(it);
-      return;
-    }
-  }
+Status BuildIndexTree(const HeapTable& heap, const catalog::IndexDef& def,
+                      const char* fault_point, BTreeIndex* out) {
+  BTreeBuilder builder;
+  std::string key;
+  Status st;
+  heap.ForEachLive([&](RowId rid, SlotRef ref) {
+    st = AIM_FAULT_POINT_STATUS(fault_point);
+    if (!st.ok()) return false;
+    key.clear();
+    AppendIndexKey(def, ref, &key);
+    builder.Add(key, rid);
+    return true;
+  });
+  if (st.ok()) *out = std::move(builder).Finish();
+  return st;
 }
 
 catalog::TableId Database::CreateTable(catalog::TableDef def) {
@@ -61,23 +67,9 @@ catalog::TableId Database::CreateTable(catalog::TableDef def) {
 }
 
 Result<catalog::IndexId> Database::CreateIndex(catalog::IndexDef def) {
-  AIM_FAULT_POINT("storage.create_index");
-  const bool hypothetical = def.hypothetical;
-  AIM_ASSIGN_OR_RETURN(catalog::IndexId id,
-                       catalog_.AddIndex(std::move(def)));
-  if (!hypothetical) {
-    // Materialization can fail mid-scan (the injected "crash during index
-    // build"); CreateIndex stays atomic by dropping the catalog entry
-    // before surfacing the error.
-    BTreeIndex built;
-    const Status build_status = BuildIndex(*catalog_.index(id), &built);
-    if (!build_status.ok()) {
-      (void)catalog_.DropIndex(id);
-      return build_status;
-    }
-    btrees_[id] = std::move(built);
-  }
-  return id;
+  std::vector<catalog::IndexDef> defs;
+  defs.push_back(std::move(def));
+  return std::move(CreateIndexes(std::move(defs))[0]);
 }
 
 std::vector<Result<catalog::IndexId>> Database::CreateIndexes(
@@ -106,8 +98,9 @@ std::vector<Result<catalog::IndexId>> Database::CreateIndexes(
   std::vector<Status> build_status(n);
   common::ParallelFor(pool, n, [&](size_t i) {
     if (!needs_build[i]) return;
-    build_status[i] =
-        BuildIndex(*catalog_.index(results[i].ValueOrDie()), &built[i]);
+    const catalog::IndexDef& def = *catalog_.index(results[i].ValueOrDie());
+    build_status[i] = BuildIndexTree(heaps_[def.table], def,
+                                     "storage.build_index_entry", &built[i]);
   });
   // Phase 3 — serial adoption, input order. A failed build unregisters its
   // catalog entry (same atomicity as single CreateIndex) and surfaces the
@@ -167,27 +160,9 @@ std::string Database::MakeIndexKey(const catalog::IndexDef& def,
 
 std::string Database::MakeIndexKey(const catalog::IndexDef& def,
                                    RowId rid) const {
-  const SlotRef ref = heaps_[def.table].slot(rid);
   std::string key;
-  for (catalog::ColumnId c : def.columns) AppendKeyPart(ref.value(c), &key);
+  AppendIndexKey(def, heaps_[def.table].slot(rid), &key);
   return key;
-}
-
-Status Database::BuildIndex(const catalog::IndexDef& def,
-                            BTreeIndex* out) const {
-  BTreeBuilder builder;
-  std::string key;
-  Status st;
-  heaps_[def.table].ForEachLive([&](RowId rid, SlotRef ref) {
-    st = AIM_FAULT_POINT_STATUS("storage.build_index_entry");
-    if (!st.ok()) return false;
-    key.clear();
-    for (catalog::ColumnId c : def.columns) AppendKeyPart(ref.value(c), &key);
-    builder.Add(key, rid);
-    return true;
-  });
-  if (st.ok()) *out = std::move(builder).Finish();
-  return st;
 }
 
 Result<RowId> Database::InsertRow(catalog::TableId table, Row row,
@@ -210,7 +185,6 @@ Result<RowId> Database::InsertRow(catalog::TableId table, Row row,
       ++cost->indexes_touched;
     }
   }
-  NotifyDml(DmlOp::kInsert, table, rid);
   return rid;
 }
 
@@ -238,7 +212,6 @@ Status Database::UpdateRow(catalog::TableId table, RowId rid, Row row,
     }
   }
   AIM_RETURN_NOT_OK(heap.Update(rid, std::move(row)));
-  NotifyDml(DmlOp::kUpdate, table, rid);
   return Status::OK();
 }
 
@@ -262,7 +235,6 @@ Status Database::DeleteRow(catalog::TableId table, RowId rid,
   }
   AIM_RETURN_NOT_OK(heap.Delete(rid));
   catalog_.mutable_table(table)->stats.row_count = heap.live_count();
-  NotifyDml(DmlOp::kDelete, table, rid);
   return Status::OK();
 }
 

@@ -1,7 +1,6 @@
 #ifndef AIM_STORAGE_DATABASE_H_
 #define AIM_STORAGE_DATABASE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -26,15 +25,17 @@ struct MaintenanceCost {
   uint64_t indexes_touched = 0;
 };
 
-/// Kind of row mutation reported to DML hooks.
-enum class DmlOp : uint8_t { kInsert, kUpdate, kDelete };
+/// Appends the encoded index key of the row bound by `ref` under `def`
+/// (its key parts, in order; see AppendKeyPart) to `key`.
+void AppendIndexKey(const catalog::IndexDef& def, SlotRef ref,
+                    std::string* key);
 
-/// Observer of successful row mutations. Invoked after the heap and every
-/// maintained index reflect the change, from the mutating thread (which,
-/// under concurrent traffic, holds the database latch exclusively). This
-/// is how the online index builder's delta log captures DML that races
-/// its snapshot scan.
-using DmlHook = std::function<void(DmlOp op, catalog::TableId table, RowId rid)>;
+/// Bulk-builds the B+Tree of `def` over `heap`'s live rows, crossing
+/// `fault_point` once per entry; on a failure there `out` is untouched.
+/// The build of CreateIndex(es) (`storage.build_index_entry`) and of the
+/// online builder's side tree (`online.snapshot.scan`).
+Status BuildIndexTree(const HeapTable& heap, const catalog::IndexDef& def,
+                      const char* fault_point, BTreeIndex* out);
 
 /// \brief A database: catalog + heap tables + materialized secondary
 /// indexes, with index maintenance on every DML.
@@ -64,7 +65,8 @@ class Database {
   }
 
   /// Creates an index; materializes it by scanning the heap unless the
-  /// definition is hypothetical. Returns the index id.
+  /// definition is hypothetical. Returns the index id. CreateIndexes of
+  /// one definition.
   Result<catalog::IndexId> CreateIndex(catalog::IndexDef def);
 
   /// Batch CreateIndex with the heap scans fanned over `pool` (nullptr or
@@ -123,36 +125,22 @@ class Database {
   std::string MakeIndexKey(const catalog::IndexDef& def, RowId rid) const;
 
   /// \name Concurrent-traffic protocol
-  /// Single-threaded embedders never touch these. Under concurrent OLTP
-  /// traffic every mutation (DML, DDL, AnalyzeTable, copies) runs under a
-  /// unique_lock of latch() and every read (executor scans, snapshot
-  /// copies) under a shared_lock; the online index builder interleaves
-  /// with writers by acquiring the latch in short chunks. The latch and
-  /// registered hooks are identity, not state: neither is copied by the
-  /// copy constructor (a clone starts unlatched with no observers).
+  /// Single-threaded embedders never touch this. Under concurrent OLTP
+  /// traffic every mutation (DML, DDL, AnalyzeTable) runs under a
+  /// unique_lock of latch() and every read (executor scans, copies of the
+  /// database or of one heap) under a shared_lock. Copies are O(chunks)
+  /// (DESIGN.md §17), so the online index builder holds the shared latch
+  /// only to copy a heap and the exclusive latch only for its bounded swap
+  /// (DESIGN.md §9). The latch is identity, not state: the copy
+  /// constructor does not copy it (a clone starts unlatched).
   /// @{
 
   /// The traffic gate. Unusable (like any member) after a move-from.
   std::shared_mutex& latch() const { return *latch_; }
-
-  /// Registers a DML observer; returns a token for UnregisterDmlHook.
-  /// Registration and removal mutate the hook list and must hold latch()
-  /// exclusively when writers are live.
-  int RegisterDmlHook(DmlHook hook);
-  void UnregisterDmlHook(int token);
-  size_t dml_hook_count() const { return dml_hooks_.size(); }
   /// @}
 
  private:
   void CopyFrom(const Database& other);
-  /// Materializes `def` from its heap by one bulk build; fails (leaving
-  /// `out` untouched) at an injected `storage.build_index_entry` fault.
-  Status BuildIndex(const catalog::IndexDef& def, BTreeIndex* out) const;
-
-  void NotifyDml(DmlOp op, catalog::TableId table, RowId rid) {
-    if (dml_hooks_.empty()) return;
-    for (const auto& [token, hook] : dml_hooks_) hook(op, table, rid);
-  }
 
   catalog::Catalog catalog_;
   std::vector<HeapTable> heaps_;                       // by TableId
@@ -161,8 +149,6 @@ class Database {
   // (std::shared_mutex is neither movable nor copyable).
   std::unique_ptr<std::shared_mutex> latch_ =
       std::make_unique<std::shared_mutex>();
-  std::vector<std::pair<int, DmlHook>> dml_hooks_;
-  int next_hook_token_ = 1;
 };
 
 }  // namespace aim::storage

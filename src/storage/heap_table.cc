@@ -121,6 +121,18 @@ Status HeapTable::Delete(RowId rid) {
   return Status::OK();
 }
 
+RowId HeapTable::NextChangedSlot(const HeapTable& base, RowId rid) const {
+  const RowId end = std::max(slot_count_, base.slot_count_);
+  for (; rid < end; rid = (rid | kSlotMask) + 1) {
+    const size_t i = rid >> kChunkShift;
+    if (i >= chunks_->size() || i >= base.chunks_->size() ||
+        &*(*chunks_)[i] != &*(*base.chunks_)[i]) {
+      return rid;
+    }
+  }
+  return kNoSlot;
+}
+
 Row HeapTable::row(RowId rid) const {
   const HeapChunk& c = chunk(rid);
   const uint32_t slot = static_cast<uint32_t>(rid & kSlotMask);

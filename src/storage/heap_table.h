@@ -136,6 +136,14 @@ class HeapTable {
     return visited;
   }
 
+  /// The first slot at or after `rid` that may differ from `base`, or
+  /// kNoSlot: every slot below the larger slot count whose chunk is not
+  /// the very chunk object `base` holds there. A chunk two copies share is
+  /// never written in place, so its slots are identical in both; an
+  /// unrelated `base` shares no chunk and yields every slot (DESIGN.md §9).
+  RowId NextChangedSlot(const HeapTable& base, RowId rid) const;
+  static constexpr RowId kNoSlot = ~RowId{0};
+
   /// ForEachLive with each row built by value (tests and the row oracle).
   uint64_t Scan(
       const std::function<bool(RowId, const Row&)>& visitor) const;

@@ -1,9 +1,9 @@
 #include "storage/online_index_builder.h"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -14,45 +14,67 @@ namespace aim::storage {
 
 namespace {
 
-/// The delta log one build shares with the DML hook. Writers append under
-/// the database latch (held exclusively during DML); the builder drains
-/// from its own thread, so the log carries its own small mutex. Lock
-/// order is latch -> log (writers) or log alone (builder) — never
-/// inverted.
-struct DeltaLog {
-  std::mutex mu;
-  std::vector<RowId> entries;
-
-  void Append(RowId rid) {
-    std::lock_guard<std::mutex> lock(mu);
-    entries.push_back(rid);
-  }
-  std::vector<RowId> Take() {
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<RowId> out;
-    out.swap(entries);
-    return out;
-  }
-  size_t Size() {
-    std::lock_guard<std::mutex> lock(mu);
-    return entries.size();
-  }
+/// One row whose index entry differs between two heap copies: its key in
+/// the older copy and its key in the newer one (nullopt where the row is
+/// not live).
+struct RowChange {
+  RowId rid = 0;
+  std::optional<std::string> old_key;
+  std::optional<std::string> new_key;
 };
 
-/// Builder-private view of the side tree: RowId -> key currently stored,
-/// which is what makes delta application idempotent (the entry can be
-/// erased without knowing the historical key the DML replaced).
-using SideKeys = std::unordered_map<RowId, std::string>;
+/// True when two stored rows hold the same value in every key column, so
+/// their encoded keys are equal; the catch-up's fast path past unchanged
+/// rows.
+bool SameKey(const catalog::IndexDef& def, SlotRef a, SlotRef b) {
+  for (catalog::ColumnId c : def.columns) {
+    const ValueView x = a.value(c);
+    const ValueView y = b.value(c);
+    if (x.kind != y.kind || (x.kind == sql::Value::Kind::kString
+                                 ? x.text != y.text
+                                 : x.bits != y.bits)) {
+      return false;
+    }
+  }
+  return true;
+}
 
-void SortUnique(std::vector<RowId>* batch) {
-  std::sort(batch->begin(), batch->end());
-  batch->erase(std::unique(batch->begin(), batch->end()), batch->end());
+/// Re-derives every row from `*cursor` on that may differ between `base`
+/// and `now`, and calls `on_change` for each whose entry does; stops when
+/// `on_change` returns false. Each re-derived row crosses
+/// `online.delta.apply` first, so a failure leaves `*cursor` at a row not
+/// yet handled and a retry resumes there.
+template <typename OnChange>
+Status Diff(const catalog::IndexDef& def, const HeapTable& base,
+            const HeapTable& now, RowId* cursor, OnChange&& on_change) {
+  for (*cursor = now.NextChangedSlot(base, *cursor);
+       *cursor != HeapTable::kNoSlot;
+       *cursor = now.NextChangedSlot(base, *cursor + 1)) {
+    AIM_FAULT_POINT("online.delta.apply");
+    const RowId rid = *cursor;
+    const bool was_live = base.IsLive(rid);
+    const bool is_live = now.IsLive(rid);
+    if (was_live && is_live && SameKey(def, base.slot(rid), now.slot(rid))) {
+      continue;
+    }
+    RowChange c{rid, std::nullopt, std::nullopt};
+    if (was_live) AppendIndexKey(def, base.slot(rid), &c.old_key.emplace());
+    if (is_live) AppendIndexKey(def, now.slot(rid), &c.new_key.emplace());
+    if (c.old_key != c.new_key && !on_change(std::move(c))) break;
+  }
+  return Status::OK();
+}
+
+void Apply(const RowChange& change, BTreeIndex* side) {
+  if (change.old_key) side->Erase(*change.old_key, change.rid);
+  if (change.new_key) side->Insert(*change.new_key, change.rid);
 }
 
 }  // namespace
 
 Result<OnlineBuildReport> OnlineIndexBuilder::Build(
-    catalog::IndexDef def, IndexSetTransaction* txn) {
+    catalog::IndexDef def, IndexSetTransaction* txn,
+    std::optional<OnlineBuildSeed> seed) {
   static obs::Counter* const builds =
       obs::MetricsRegistry::Global()->counter("online.builds");
   static obs::Counter* const builds_aborted =
@@ -64,67 +86,30 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
 
   obs::Span build_span(obs::Tracer::Get(), "online.build");
   builds->Add();
+  const auto since = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t)
+        .count();
+  };
   const auto build_start = std::chrono::steady_clock::now();
   def.hypothetical = false;
   def.id = catalog::kInvalidIndex;
 
-  OnlineBuildReport report;
-  BTreeIndex side;
-  SideKeys keys;
-  DeltaLog log;
-  int hook_token = 0;
-
-  // Re-derives `rid`'s side-tree entry from its current heap state.
-  // Caller holds the latch (shared or exclusive); `side`/`keys` are
-  // builder-private. Idempotent: applying the same RowId twice, or an
-  // entry that is stale by the time it is read, converges on the live
-  // state.
-  const auto apply_one = [&](RowId rid) {
-    const HeapTable& heap = db_->heap(def.table);
-    auto it = keys.find(rid);
-    if (heap.IsLive(rid)) {
-      std::string key = db_->MakeIndexKey(def, rid);
-      if (it != keys.end()) {
-        if (it->second == key) return;  // already current
-        side.Erase(it->second, rid);
-        it->second = key;
-      } else {
-        keys.emplace(rid, key);
-      }
-      side.Insert(key, rid);
-    } else if (it != keys.end()) {
-      side.Erase(it->second, rid);
-      keys.erase(it);
-    }
-  };
-
-  // Applies a drained batch; each entry crosses the `online.delta.apply`
-  // fault point so chaos schedules can kill (or transiently fail) the
-  // build mid-catch-up and mid-tail.
-  const auto apply_entries = [&](const std::vector<RowId>& batch) -> Status {
-    for (RowId rid : batch) {
-      AIM_FAULT_POINT("online.delta.apply");
-      apply_one(rid);
-    }
-    return Status::OK();
-  };
-
-  // Abort path: unregister the hook under the exclusive latch (writers
-  // iterate the hook list during DML) and surface the failure. The side
-  // tree and delta log are locals — dropping them IS the cleanup; the
-  // database was never touched.
+  // Side tree and heap copies are locals: dropping them is the cleanup.
   const auto abort = [&](Status st) -> Status {
-    std::unique_lock<std::shared_mutex> lock(db_->latch());
-    db_->UnregisterDmlHook(hook_token);
     builds_aborted->Add();
     return st;
   };
+  const auto copy_heap = [&] {
+    std::shared_lock<std::shared_mutex> lock(db_->latch());
+    return db_->heap(def.table);
+  };
 
-  // Phase 1 — arm: hook and snapshot bound under one exclusive
-  // acquisition, so every row the bounded scan can miss is in the log.
-  uint64_t snapshot_slots = 0;
+  // Step 1 — copy the heap as `base` (a seed brings its own).
+  OnlineBuildReport report;
+  HeapTable base;
+  BTreeIndex side;
   {
-    std::unique_lock<std::shared_mutex> lock(db_->latch());
+    std::shared_lock<std::shared_mutex> lock(db_->latch());
     if (def.table >= db_->catalog().table_count()) {
       return Status::InvalidArgument("online build: unknown table");
     }
@@ -135,131 +120,84 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
       return Status::AlreadyExists("online build: duplicate index on " +
                                    db_->catalog().DescribeIndex(def));
     }
-    const catalog::TableId table = def.table;
-    hook_token = db_->RegisterDmlHook(
-        [&log, table](DmlOp, catalog::TableId t, RowId rid) {
-          if (t == table) log.Append(rid);
-        });
-    snapshot_slots = db_->heap(def.table).slot_count();
+    if (!seed) base = db_->heap(def.table);
   }
 
-  // Phase 2 — chunked snapshot scan under a shared latch, bulk-built:
-  // entries accumulate in rid order and are sorted and packed once.
+  // Step 2 — the side tree, bulk-built from `base` with no latch held.
   {
-    BTreeBuilder snapshot;
     obs::Span snap_span(obs::Tracer::Get(), "online.snapshot");
-    const uint64_t chunk = std::max<uint64_t>(1, options_.snapshot_chunk_rows);
-    for (uint64_t begin = 0; begin < snapshot_slots; begin += chunk) {
-      Status st;
-      {
-        std::shared_lock<std::shared_mutex> lock(db_->latch());
-        st = AIM_FAULT_POINT_STATUS("online.snapshot.scan");
-        if (st.ok()) {
-          const HeapTable& heap = db_->heap(def.table);
-          const uint64_t end = std::min(begin + chunk, snapshot_slots);
-          for (RowId rid = begin; rid < end; ++rid) {
-            if (!heap.IsLive(rid)) continue;
-            std::string key = db_->MakeIndexKey(def, rid);
-            snapshot.Add(key, rid);
-            keys.emplace(rid, std::move(key));
-            ++report.snapshot_rows;
-          }
-        }
-      }
-      // abort() re-acquires the latch exclusively, so the shared scan lock
-      // must be gone first.
+    if (seed) {
+      base = std::move(seed->heap);
+      side = std::move(seed->tree);
+    } else {
+      const Status st =
+          BuildIndexTree(base, def, "online.snapshot.scan", &side);
       if (!st.ok()) return abort(st);
-      if (options_.after_snapshot_chunk) options_.after_snapshot_chunk(begin);
     }
-    side = std::move(snapshot).Finish();
+    report.snapshot_rows = base.live_count();
     snap_span.SetAttr("rows", report.snapshot_rows);
-    snap_span.SetAttr("slots", snapshot_slots);
+    snap_span.SetAttr("seeded", seed.has_value());
   }
 
-  // Phases 3+4 — catch-up rounds until the backlog fits the stall cap,
-  // then the swap. A swap attempt that finds a larger tail (DML raced the
-  // convergence check) releases the latch and falls back to catch-up.
+  // Steps 3+4 — catch-up rounds until one applies at most max_swap_tail
+  // changes, then the swap, which runs one more round on a larger tail.
   RetryPolicy retry(options_.retry);
   int rounds = 0;
+  HeapTable now = copy_heap();
   while (true) {
     {
       obs::Span catchup_span(obs::Tracer::Get(), "online.catchup");
-      uint64_t round_applied = 0;
-      while (log.Size() > options_.max_swap_tail) {
+      uint64_t applied = 0;
+      if (now.NextChangedSlot(base, 0) != HeapTable::kNoSlot) {
         if (++rounds > options_.max_catchup_rounds) {
-          catchup_span.SetAttr("applied", round_applied);
           return abort(Status::Unavailable(
-              "online build: delta catch-up did not converge within " +
+              "online build: catch-up did not converge within " +
               std::to_string(options_.max_catchup_rounds) + " rounds"));
         }
-        std::vector<RowId> batch = log.Take();
-        SortUnique(&batch);
-        const Status st = retry.Run([&]() -> Status {
-          std::shared_lock<std::shared_mutex> lock(db_->latch());
-          return apply_entries(batch);
+        RowId cursor = 0;
+        const Status st = retry.Run([&] {
+          return Diff(def, base, now, &cursor, [&](RowChange change) {
+            Apply(change, &side);
+            ++applied;
+            return true;
+          });
         });
-        if (!st.ok()) {
-          catchup_span.SetAttr("applied", round_applied);
-          return abort(st);
-        }
-        round_applied += batch.size();
+        if (!st.ok()) return abort(st);
+        base = std::move(now);
+        report.delta_applied += applied;
       }
-      report.delta_applied += round_applied;
-      catchup_span.SetAttr("applied", round_applied);
+      catchup_span.SetAttr("applied", applied);
       catchup_span.SetAttr("rounds", rounds);
+      if (applied > options_.max_swap_tail) {
+        now = copy_heap();
+        continue;
+      }
     }
 
     std::unique_lock<std::shared_mutex> lock(db_->latch());
     obs::Span swap_span(obs::Tracer::Get(), "online.swap");
     const auto stall_start = std::chrono::steady_clock::now();
-    std::vector<RowId> tail = log.Take();
-    SortUnique(&tail);
-    if (tail.size() > options_.max_swap_tail) {
-      // Too much DML slipped in between the backlog check and the
-      // exclusive acquisition: apply this batch as one more catch-up
-      // round rather than blowing the stall bound.
+    const HeapTable& live = db_->heap(def.table);
+    std::vector<RowChange> tail;
+    RowId cursor = 0;
+    Status st = Diff(def, base, live, &cursor, [&](RowChange change) {
+      tail.push_back(std::move(change));
+      return tail.size() <= options_.max_swap_tail;
+    });
+    if (st.ok() && tail.size() > options_.max_swap_tail) {
       swap_span.SetAttr("deferred_tail", tail.size());
-      lock.unlock();
-      if (++rounds > options_.max_catchup_rounds) {
-        return abort(Status::Unavailable(
-            "online build: swap tail never fit the stall cap"));
-      }
-      const Status st = retry.Run([&]() -> Status {
-        std::shared_lock<std::shared_mutex> relock(db_->latch());
-        return apply_entries(tail);
-      });
-      if (!st.ok()) return abort(st);
-      report.delta_applied += tail.size();
+      report.stall_seconds += since(stall_start);
+      now = live;
       continue;
     }
-
-    const Status st = AIM_FAULT_POINT_STATUS("online.swap");
-    if (!st.ok()) {
-      db_->UnregisterDmlHook(hook_token);
-      builds_aborted->Add();
-      return st;
-    }
-    const Status tail_st = apply_entries(tail);
-    if (!tail_st.ok()) {
-      db_->UnregisterDmlHook(hook_token);
-      builds_aborted->Add();
-      return tail_st;
-    }
+    if (st.ok()) st = AIM_FAULT_POINT_STATUS("online.swap");
+    if (!st.ok()) return abort(st);
+    for (const RowChange& change : tail) Apply(change, &side);
     Result<catalog::IndexId> id = db_->AdoptIndex(def, std::move(side));
-    // Whatever AdoptIndex decided, the build is over: stop observing DML
-    // before the latch drops (on success, normal maintenance owns the
-    // index from here).
-    db_->UnregisterDmlHook(hook_token);
-    if (!id.ok()) {
-      builds_aborted->Add();
-      return id.status();
-    }
+    if (!id.ok()) return abort(id.status());
     report.id = id.ValueOrDie();
     report.swap_tail_applied = tail.size();
-    report.stall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      stall_start)
-            .count();
+    report.stall_seconds += since(stall_start);
     swap_span.SetAttr("tail", tail.size());
     swap_span.SetAttr("stall_seconds", report.stall_seconds);
     if (txn != nullptr) txn->RecordCreated(report.id);
@@ -269,10 +207,7 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
   report.catchup_rounds = rounds;
   report.retry_attempts = retry.attempts();
   report.retry_backoff_ms = retry.total_backoff_ms();
-  report.build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    build_start)
-          .count();
+  report.build_seconds = since(build_start);
   build_span.SetAttr("build_seconds", report.build_seconds);
   stall_hist->Observe(report.stall_seconds);
   delta_entries->Add(report.delta_applied + report.swap_tail_applied);

@@ -2,7 +2,7 @@
 #define AIM_STORAGE_ONLINE_INDEX_BUILDER_H_
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 
 #include "common/retry.h"
 #include "storage/database.h"
@@ -10,102 +10,79 @@
 
 namespace aim::storage {
 
-/// Knobs for one online build. The defaults keep every latch acquisition
-/// short: the snapshot scan holds the shared latch for at most
-/// `snapshot_chunk_rows` rows at a time, catch-up rounds apply whole delta
-/// batches under a shared latch, and the one exclusive acquisition (the
-/// swap) applies at most `max_swap_tail` delta entries — the stall bound.
+/// Knobs for one online build.
 struct OnlineBuildOptions {
-  /// Heap slots examined per shared-latch acquisition of the snapshot
-  /// scan. Writers interleave between chunks.
-  uint64_t snapshot_chunk_rows = 256;
-  /// Swap only once the delta backlog is at or below this many entries;
-  /// larger backlogs trigger another catch-up round instead of a long
-  /// exclusive stall.
+  /// The stall bound: the swap applies at most this many changed rows
+  /// under the exclusive latch; a larger tail runs another catch-up round.
   uint64_t max_swap_tail = 64;
-  /// Catch-up rounds (including swap attempts that found too large a
-  /// tail) before the build gives up with kUnavailable. Bounds livelock
-  /// against writers that outpace the builder.
+  /// Catch-up rounds before the build gives up with kUnavailable. Bounds
+  /// livelock against writers that outpace the builder.
   int max_catchup_rounds = 64;
-  /// Backoff for transient (kUnavailable) delta-apply failures: each
-  /// round's batch is retried with virtual-clock exponential backoff
-  /// before the build aborts. Delta application is idempotent
-  /// (last-state-wins against the live row), so re-running a batch after
-  /// a mid-batch failure is always safe.
+  /// Backoff for transient (kUnavailable) failures at
+  /// `online.delta.apply`: the round resumes at the row it stopped at,
+  /// with virtual-clock exponential backoff, before the build aborts.
   RetryOptions retry;
-  /// Test-only DEBUG_SYNC-style hook: invoked after every snapshot chunk
-  /// with the latch *released*, so a test can interleave DML at an exact
-  /// point of the build instead of relying on scheduler races (the latch
-  /// has no fairness guarantee, so an uncoordinated writer can starve
-  /// behind a fast chunked scan). Production leaves it empty.
-  std::function<void(uint64_t chunk_begin)> after_snapshot_chunk;
+};
+
+/// A starting point for an online build: a copy of the table's heap and
+/// the tree built on exactly that copy (a validation clone's tree).
+struct OnlineBuildSeed {
+  HeapTable heap;
+  BTreeIndex tree;
 };
 
 /// What one online build did.
 struct OnlineBuildReport {
   catalog::IndexId id = catalog::kInvalidIndex;
-  /// Live rows copied by the chunked snapshot scan.
+  /// Live rows of the heap copy the side tree started from.
   uint64_t snapshot_rows = 0;
-  /// Delta entries applied during shared-latch catch-up rounds.
+  /// Rows whose entry changed, applied in catch-up rounds (no latch held).
   uint64_t delta_applied = 0;
-  /// Delta entries applied under the exclusive swap latch — always
-  /// <= OnlineBuildOptions::max_swap_tail.
+  /// Rows whose entry changed, applied under the exclusive swap latch —
+  /// always <= OnlineBuildOptions::max_swap_tail.
   uint64_t swap_tail_applied = 0;
-  /// Catch-up rounds run (0 when no DML raced the scan).
+  /// Catch-up rounds run (0 when no DML raced the side build).
   int catchup_rounds = 0;
-  /// Wall time the exclusive swap latch was held. Also observed into the
-  /// `online.swap.stall_seconds` histogram.
+  /// Wall time the exclusive swap latch was held, summed over swap
+  /// attempts (one that defers holds it for its diff). Also observed into
+  /// the `online.swap.stall_seconds` histogram.
   double stall_seconds = 0.0;
   /// Retry bookkeeping from the catch-up policy (virtual clock).
   int retry_attempts = 0;
   double retry_backoff_ms = 0.0;
-  /// End-to-end wall time of the build (arm → swap), seconds. Feeds the
+  /// End-to-end wall time of the build (copy → swap), seconds. Feeds the
   /// deployment planner's measured cumulative-benefit curves.
   double build_seconds = 0.0;
 };
 
-/// \brief Online index creation under live OLTP traffic: side-build +
-/// delta catch-up + atomic swap.
+/// \brief Online index creation under live OLTP traffic (DESIGN.md §9).
 ///
-/// The build never blocks writers for longer than one bounded latch
-/// acquisition:
+/// Copies the heap under a shared latch (O(chunks)) and bulk-builds the
+/// side tree from the copy with no latch held, unless given a seed. Each
+/// catch-up round copies the heap again and, with no latch held,
+/// re-derives every row outside the chunks the two copies share
+/// (HeapTable::NextChangedSlot). The swap, the only exclusive hold, diffs
+/// the last copy against the live heap and adopts the tree when at most
+/// `max_swap_tail` rows changed; otherwise it runs one more round.
 ///
-///   1. *Arm* (brief exclusive latch): register a DML hook on the
-///      database — every committed Insert/Update/Delete on the target
-///      table appends its RowId to a private delta log — and record the
-///      heap's slot count as the snapshot bound.
-///   2. *Snapshot scan* (chunked shared latch): copy the bounded slot
-///      range into a private side B+Tree, `snapshot_chunk_rows` slots per
-///      acquisition. Rows mutated mid-scan may be captured twice (old
-///      value in the tree, RowId in the delta log); catch-up repairs them.
-///   3. *Catch-up* (shared latch per round): drain the delta log and
-///      re-derive each touched RowId's entry from its *current* heap
-///      state — insert, move, or remove. Last-state-wins makes
-///      application idempotent, so transient `online.delta.apply` faults
-///      retry the same batch under `RetryPolicy` backoff.
-///   4. *Swap* (one exclusive latch, the only stall): re-check the tail
-///      is within `max_swap_tail` (otherwise back to 3), apply it, and
-///      atomically adopt the side tree via Database::AdoptIndex. From
-///      that moment normal DML maintenance owns the index.
-///
-/// Crash safety: the builder touches the database itself only in the
-/// final AdoptIndex call, which has no internal failure point. A build
-/// killed at `online.snapshot.scan`, `online.delta.apply`, or
-/// `online.swap` unregisters its hook and discards its side state — the
-/// database is bit-identical to the build never having started.
-///
-/// The builder holds no state across Build calls and may be reused.
+/// Fault points: `online.snapshot.scan` per side-build entry,
+/// `online.delta.apply` per re-derived row (a transient failure resumes
+/// at that row under `RetryPolicy`) and `online.swap`. The builder touches
+/// the database only in AdoptIndex, which has no failure point, so a
+/// failed build leaves it bit-identical. It holds no state across Build
+/// calls and may be reused.
 class OnlineIndexBuilder {
  public:
   explicit OnlineIndexBuilder(Database* db, OnlineBuildOptions options = {})
       : db_(db), options_(options) {}
 
-  /// Runs the full pipeline for `def` (forced non-hypothetical). When
-  /// `txn` is non-null the installed index is recorded there, so a later
-  /// Rollback drops it together with the rest of the transaction's
-  /// changes (the multi-index online apply path).
-  Result<OnlineBuildReport> Build(catalog::IndexDef def,
-                                  IndexSetTransaction* txn = nullptr);
+  /// Runs the full pipeline for `def` (forced non-hypothetical), from
+  /// `seed` when given. When `txn` is non-null the installed index is
+  /// recorded there, so a later Rollback drops it together with the rest
+  /// of the transaction's changes (the multi-index online apply path).
+  Result<OnlineBuildReport> Build(
+      catalog::IndexDef def, IndexSetTransaction* txn = nullptr,
+      std::optional<OnlineBuildSeed> seed = std::nullopt);
 
  private:
   Database* db_;

@@ -243,7 +243,7 @@ TEST(BuildOnceApplyTest, OnlineApplyTargetBuildsOnline) {
   const AimReport& report = r.ValueOrDie();
   ASSERT_FALSE(report.recommended.empty());
   EXPECT_EQ(report.stats.online_builds, report.recommended.size());
-  EXPECT_EQ(report.stats.indexes_adopted, 0u);
+  EXPECT_EQ(report.stats.indexes_adopted, report.recommended.size());
   EXPECT_TRUE(snapshot.catalog().AllIndexes(false, false).empty());
   ExpectAutomationIndexesMatchFreshBuilds(live, snapshot);
 }

@@ -7,7 +7,9 @@
 // replica sees only its own writes, row ids stay stable, and Scan,
 // ScanChunk and the index scans and gathers agree with the reference.
 // Further tests pin the mutation-stamp rules, that a copy really shares
-// storage, and the latch protocol: a TPC-C writer keeps committing while
+// storage, that the chunk diff between copies (HeapTable::NextChangedSlot)
+// finds every changed row and seeds online builds correctly, and the latch
+// protocol: a TPC-C writer keeps committing while
 // another thread snapshots the database under the latch, reads and writes
 // the snapshot without it, and destroys it (run under AIM_SANITIZE=thread).
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -27,6 +30,7 @@
 #include "storage/btree_index.h"
 #include "storage/database.h"
 #include "storage/heap_table.h"
+#include "storage/online_index_builder.h"
 #include "workload/tpcc_oltp.h"
 
 namespace aim::storage {
@@ -351,6 +355,159 @@ TEST(CowStorageTest, CopyKeepsTheStampAndAWriteRenewsItOnItsSideOnly) {
   EXPECT_NE(clone.heap(t).stamp(), db.heap(t).stamp());
   EXPECT_EQ(db.heap(t).live_count(), 1u);
 }
+
+// ---------- the chunk diff ---------------------------------------------------
+
+/// An older copy of the live heap and the chunks either side has written
+/// since it was taken.
+struct OlderCopy {
+  HeapTable heap;
+  std::set<RowId> written;  // chunk indexes
+};
+
+/// Every slot NextChangedSlot yields for (base, now), in order.
+std::set<RowId> ChangedSlots(const HeapTable& base, const HeapTable& now) {
+  std::set<RowId> changed;
+  for (RowId rid = now.NextChangedSlot(base, 0); rid != HeapTable::kNoSlot;
+       rid = now.NextChangedSlot(base, rid + 1)) {
+    changed.insert(rid);
+  }
+  return changed;
+}
+
+/// The diff yields every slot whose liveness or row differs, and no slot
+/// of a chunk neither side wrote since the copy.
+void ExpectExactDiff(const HeapTable& base, const HeapTable& now,
+                     const std::set<RowId>& written) {
+  const std::set<RowId> changed = ChangedSlots(base, now);
+  const RowId end = std::max(base.slot_count(), now.slot_count());
+  for (RowId rid = 0; rid < end; ++rid) {
+    const bool differs =
+        base.IsLive(rid) != now.IsLive(rid) ||
+        (base.IsLive(rid) && base.row(rid) != now.row(rid));
+    if (differs) {
+      ASSERT_EQ(changed.count(rid), 1u) << "missed changed row " << rid;
+    }
+    ASSERT_EQ(changed.count(rid), written.count(rid >> HeapTable::kChunkShift))
+        << "row " << rid << " of a chunk "
+        << (changed.count(rid) ? "no side wrote" : "a side wrote");
+  }
+  EXPECT_TRUE(changed.empty() || *changed.rbegin() < end);
+}
+
+/// Every live row of `heap` is in `tree` under its key, and nothing else.
+void ExpectTreeIndexes(const BTreeIndex& tree, const HeapTable& heap,
+                       const catalog::IndexDef& def) {
+  EXPECT_EQ(tree.entry_count(), heap.live_count());
+  heap.ForEachLive([&](RowId rid, SlotRef ref) {
+    std::string key;
+    AppendIndexKey(def, ref, &key);
+    bool found = false;
+    tree.ScanPrefix(key, std::nullopt, std::nullopt, [&](RowId r) {
+      found = r == rid;
+      return !found;
+    });
+    EXPECT_TRUE(found) << "row " << rid << " not under its key";
+    return true;
+  });
+}
+
+class ChunkDiffTest : public ::testing::TestWithParam<uint64_t> {};
+
+// A seeded Insert / Update / Delete storm on a live table that holds 1-3
+// older copies of its heap; the copies take writes of their own now and
+// then (a validation clone replaying DML). At checkpoints, the diff
+// between every copy and the live heap, both ways round, is exactly the
+// chunks written since the copy, and an online build seeded with the copy
+// and its tree catches up to the index a fresh build makes.
+TEST_P(ChunkDiffTest, DiffFindsEveryChangedRowAndSeededBuildsCatchUp) {
+  Rng rng(GetParam());
+  Database live;
+  catalog::TableDef table;
+  table.name = "t";
+  for (const char* name : {"a", "b", "c"}) {
+    catalog::ColumnDef column;
+    column.name = name;
+    table.columns.push_back(column);
+  }
+  const catalog::TableId t = live.CreateTable(table);
+  catalog::IndexDef def;
+  def.table = t;
+  def.columns = {0, 1};
+  for (RowId i = 0; i < 8 * HeapTable::kChunkRows + 37; ++i) {
+    ASSERT_TRUE(live.InsertRow(t, RandomRow(&rng)).ok());
+  }
+  const auto random_live = [&](const HeapTable& heap) -> std::optional<RowId> {
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const RowId rid = rng.Uniform(heap.slot_count());
+      if (heap.IsLive(rid)) return rid;
+    }
+    return std::nullopt;
+  };
+
+  std::vector<OlderCopy> copies;
+  for (int step = 0; step < 600; ++step) {
+    const uint64_t roll = rng.Uniform(100);
+    if (copies.empty() || (roll < 4 && copies.size() < 3)) {
+      copies.push_back(OlderCopy{live.heap(t), {}});
+    } else if (roll < 7 && copies.size() > 1) {
+      copies.erase(copies.begin() +
+                   static_cast<std::ptrdiff_t>(rng.Uniform(copies.size())));
+    } else if (roll < 20) {
+      // A copy takes a write of its own.
+      OlderCopy& c = copies[rng.Uniform(copies.size())];
+      const uint64_t op = rng.Uniform(3);
+      if (op == 0) {
+        c.written.insert(c.heap.Insert(RandomRow(&rng)) >>
+                         HeapTable::kChunkShift);
+      } else if (const auto rid = random_live(c.heap)) {
+        ASSERT_TRUE(op == 1 ? c.heap.Update(*rid, RandomRow(&rng)).ok()
+                            : c.heap.Delete(*rid).ok());
+        c.written.insert(*rid >> HeapTable::kChunkShift);
+      }
+    } else {
+      std::optional<RowId> rid;
+      if (roll < 60) {
+        Result<RowId> inserted = live.InsertRow(t, RandomRow(&rng));
+        ASSERT_TRUE(inserted.ok());
+        rid = inserted.ValueOrDie();
+      } else if ((rid = random_live(live.heap(t)))) {
+        ASSERT_TRUE(roll < 85 ? live.UpdateRow(t, *rid, RandomRow(&rng)).ok()
+                              : live.DeleteRow(t, *rid).ok());
+      }
+      if (rid) {
+        for (OlderCopy& c : copies) {
+          c.written.insert(*rid >> HeapTable::kChunkShift);
+        }
+      }
+    }
+    if (step % 60 != 59) continue;
+    for (size_t i = 0; i < copies.size(); ++i) {
+      SCOPED_TRACE("step " + std::to_string(step) + " copy " +
+                   std::to_string(i));
+      const OlderCopy& c = copies[i];
+      ASSERT_NO_FATAL_FAILURE(ExpectExactDiff(c.heap, live.heap(t), c.written));
+      ASSERT_NO_FATAL_FAILURE(ExpectExactDiff(live.heap(t), c.heap, c.written));
+
+      OnlineBuildSeed seed{c.heap, {}};
+      ASSERT_TRUE(
+          BuildIndexTree(c.heap, def, "storage.build_index_entry", &seed.tree)
+              .ok());
+      Database online = live;
+      Result<OnlineBuildReport> r =
+          OnlineIndexBuilder(&online).Build(def, nullptr, std::move(seed));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      Database fresh = live;
+      Result<catalog::IndexId> id = fresh.CreateIndex(def);
+      ASSERT_TRUE(id.ok());
+      ExpectTreeIndexes(*online.btree(r.ValueOrDie().id), live.heap(t), def);
+      ExpectTreeIndexes(*fresh.btree(id.ValueOrDie()), live.heap(t), def);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChunkDiffTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 /// Order-sensitive digest of every live row and every index's entries.
 uint64_t Digest(const Database& db) {

@@ -125,7 +125,6 @@ Entries ExpectedEntries(const Database& db, const catalog::IndexDef& def) {
 bool CheckAllOrNothing(const Database& db, const catalog::IndexDef& def) {
   const catalog::IndexDef* found =
       db.catalog().FindIndex(def.table, def.columns);
-  EXPECT_EQ(db.dml_hook_count(), 0u) << "leaked DML hook";
   if (found == nullptr) return false;  // fully absent: nothing else to check
   const storage::BTreeIndex* tree = db.btree(found->id);
   EXPECT_NE(tree, nullptr) << "catalog entry without materialized tree";
@@ -159,7 +158,6 @@ TEST_F(OnlineBuildTest, QuiescentBuildMatchesBlockingCreate) {
   EXPECT_EQ(report.delta_applied, 0u);
   EXPECT_EQ(report.swap_tail_applied, 0u);
   EXPECT_EQ(report.catchup_rounds, 0);
-  EXPECT_EQ(online_db.dml_hook_count(), 0u);
 
   Result<catalog::IndexId> blocking = blocking_db.CreateIndex(def);
   ASSERT_TRUE(blocking.ok());
@@ -188,7 +186,6 @@ TEST_F(OnlineBuildTest, RejectsBadDefinitions) {
   ASSERT_TRUE(builder.Build(dup).ok());
   EXPECT_EQ(builder.Build(dup).status().code(),
             Status::Code::kAlreadyExists);
-  EXPECT_EQ(db.dml_hook_count(), 0u);
 }
 
 TEST_F(OnlineBuildTest, IndexIsMaintainedAfterSwap) {
@@ -248,7 +245,6 @@ TEST_F(OnlineBuildTest, SnapshotFaultAbortsClean) {
   EXPECT_EQ(r.status().code(), Status::Code::kInternal);
   EXPECT_EQ(HeapFingerprint(db, 0), heap_before);
   EXPECT_EQ(IndexSignature(db), sig_before);
-  EXPECT_EQ(db.dml_hook_count(), 0u);
 }
 
 TEST_F(OnlineBuildTest, SwapFaultAbortsClean) {
@@ -268,7 +264,6 @@ TEST_F(OnlineBuildTest, SwapFaultAbortsClean) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(HeapFingerprint(db, 0), heap_before);
   EXPECT_EQ(IndexSignature(db), sig_before);
-  EXPECT_EQ(db.dml_hook_count(), 0u);
 
   // The aborted build left nothing behind: the same definition builds
   // fine once the fault clears.
@@ -278,45 +273,80 @@ TEST_F(OnlineBuildTest, SwapFaultAbortsClean) {
 }
 
 // A transient (kUnavailable) delta-apply failure is retried under the
-// catch-up RetryPolicy and the build still converges. The DML that feeds
-// the delta log is injected deterministically through the
-// after_snapshot_chunk sync hook (latch released at that point), so the
-// fault crossing is guaranteed — no scheduler race.
+// catch-up RetryPolicy and the build still converges. The build starts
+// from a heap copy and tree taken before 8 inserts, so its catch-up round
+// re-derives them and the fault crossing is guaranteed — no scheduler
+// race.
 TEST_F(OnlineBuildTest, TransientDeltaFaultRetriesWithBackoff) {
   Database db = MakeUsersDb(400, /*seed=*/13);
+  catalog::IndexDef def;
+  def.table = 0;
+  def.columns = {1};
+  storage::OnlineBuildSeed seed = aim::testing::SeedOf(db, def);
+  for (int i = 0; i < 8; ++i) {
+    Row row = db.heap(0).row(static_cast<RowId>(i));
+    row[0] = sql::Value::Int(2000000 + i);
+    ASSERT_TRUE(db.InsertRow(0, row).ok());
+  }
+
   FaultSpec spec;  // transient: fail twice, then succeed
   spec.code = Status::Code::kUnavailable;
   spec.fail_times = 2;
   ScopedFault fault("online.delta.apply", spec);
-
-  catalog::IndexDef def;
-  def.table = 0;
-  def.columns = {1};
   OnlineBuildOptions options;
   options.max_swap_tail = 0;  // force all delta through retried catch-up
   options.max_catchup_rounds = 256;
-  bool injected = false;
-  options.after_snapshot_chunk = [&](uint64_t) {
-    if (injected) return;
-    injected = true;
-    std::unique_lock<std::shared_mutex> lock(db.latch());
-    for (int i = 0; i < 8; ++i) {
-      Row row = db.heap(0).row(static_cast<RowId>(i));
-      row[0] = sql::Value::Int(2000000 + i);
-      ASSERT_TRUE(db.InsertRow(0, row).ok());
-    }
-  };
-
   OnlineIndexBuilder builder(&db, options);
-  Result<OnlineBuildReport> r = builder.Build(def);
+  Result<OnlineBuildReport> r = builder.Build(def, nullptr, std::move(seed));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_TRUE(injected);
   const OnlineBuildReport& report = r.ValueOrDie();
   EXPECT_GE(report.delta_applied, 8u);
   EXPECT_EQ(report.swap_tail_applied, 0u);
   EXPECT_GE(report.retry_attempts, 3);  // 2 transient failures + success
   EXPECT_GT(report.retry_backoff_ms, 0.0);
   EXPECT_TRUE(CheckAllOrNothing(db, def));
+}
+
+// Catch-up re-derives every row of a chunk the two copies no longer share,
+// but applies only rows whose entry changed: the 8 inserts, the 5 updates
+// that move the key and the 4 deletes, not the 3 updates that leave the
+// key alone.
+TEST_F(OnlineBuildTest, CatchUpAppliesExactlyTheChangedEntries) {
+  Database db = MakeUsersDb(400, /*seed=*/17);
+  catalog::IndexDef def;
+  def.table = 0;
+  def.columns = {1};  // org_id
+  storage::OnlineBuildSeed seed = aim::testing::SeedOf(db, def);
+  for (int i = 0; i < 8; ++i) {
+    Row row = db.heap(0).row(static_cast<RowId>(i));
+    row[0] = sql::Value::Int(3000000 + i);
+    ASSERT_TRUE(db.InsertRow(0, row).ok());
+  }
+  for (RowId rid = 10; rid < 15; ++rid) {
+    Row row = db.heap(0).row(rid);
+    row[1] = sql::Value::Int(1000000 + static_cast<int64_t>(rid));
+    ASSERT_TRUE(db.UpdateRow(0, rid, row).ok());
+  }
+  for (RowId rid = 20; rid < 23; ++rid) {
+    Row row = db.heap(0).row(rid);
+    row[3] = sql::Value::Int(-1 - static_cast<int64_t>(rid));  // score
+    ASSERT_TRUE(db.UpdateRow(0, rid, row).ok());
+  }
+  for (RowId rid = 300; rid < 304; ++rid) {
+    ASSERT_TRUE(db.DeleteRow(0, rid).ok());
+  }
+  Database fresh = db;
+
+  OnlineIndexBuilder builder(&db);
+  Result<OnlineBuildReport> r = builder.Build(def, nullptr, std::move(seed));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().delta_applied, 17u);
+  EXPECT_EQ(r.ValueOrDie().swap_tail_applied, 0u);
+  EXPECT_EQ(r.ValueOrDie().catchup_rounds, 1);
+  Result<catalog::IndexId> blocking = fresh.CreateIndex(def);
+  ASSERT_TRUE(blocking.ok());
+  EXPECT_EQ(IndexEntries(db, r.ValueOrDie().id),
+            IndexEntries(fresh, blocking.ValueOrDie()));
 }
 
 // ---------- TPC-C workload units ---------------------------------------------
@@ -441,7 +471,6 @@ TEST_F(OnlineBuildTest, ConcurrentWritersAreCaughtUp) {
   def.table = tpcc.orders_table();
   def.columns = {3};  // o_c_id
   OnlineBuildOptions options;
-  options.snapshot_chunk_rows = 8;  // many latch hand-offs to writers
   OnlineIndexBuilder builder(&tpcc.db(), options);
   Result<OnlineBuildReport> r = builder.Build(def);
 
@@ -463,7 +492,6 @@ TEST_F(OnlineBuildTest, SwapTailIsBounded) {
   def.table = tpcc.order_line_table();
   def.columns = {4};  // ol_i_id
   OnlineBuildOptions options;
-  options.snapshot_chunk_rows = 4;
   options.max_swap_tail = 4;  // tight stall cap under sustained inserts
   options.max_catchup_rounds = 512;
   OnlineIndexBuilder builder(&tpcc.db(), options);
@@ -488,13 +516,11 @@ TEST_F(OnlineBuildTest, ConcurrentDifferentialOracle) {
   def.table = tpcc.order_line_table();
   def.columns = {4, 5};  // (ol_i_id, ol_quantity)
   OnlineBuildOptions options;
-  options.snapshot_chunk_rows = 8;
   OnlineIndexBuilder builder(&tpcc.db(), options);
   Result<OnlineBuildReport> r = builder.Build(def);
   workload::OltpStats stats = driver.Stop();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(tpcc.db().dml_hook_count(), 0u);
 
   // Oracle: rebuild from scratch on a copy of the quiesced database and
   // compare entry-for-entry.
@@ -534,7 +560,6 @@ TEST_F(OnlineBuildTest, QuiescedKillSchedules) {
     def.table = 0;
     def.columns.push_back(static_cast<catalog::ColumnId>(1 + s % 4));
     OnlineBuildOptions options;
-    options.snapshot_chunk_rows = 64;
     OnlineIndexBuilder builder(&db, options);
     Result<OnlineBuildReport> r = builder.Build(def);
 
@@ -558,7 +583,7 @@ TEST_F(OnlineBuildTest, QuiescedKillSchedules) {
 // 120 concurrent kill schedules: the same fault grid, but with live OLTP
 // traffic throughout. The invariant under concurrency: the index is fully
 // installed and consistent with the (still-moving) heap, or entirely
-// absent — never partial, and never a leaked hook.
+// absent — never partial.
 TEST_F(OnlineBuildTest, ConcurrentKillSchedules) {
   workload::TpccDatabase tpcc;
   ASSERT_TRUE(tpcc.Load().ok());
@@ -594,7 +619,6 @@ TEST_F(OnlineBuildTest, ConcurrentKillSchedules) {
     ScopedFault fault(points[s % 3], spec, /*seed=*/2000 + s);
 
     OnlineBuildOptions options;
-    options.snapshot_chunk_rows = 16;
     options.max_catchup_rounds = 512;
     OnlineIndexBuilder builder(&tpcc.db(), options);
     Result<OnlineBuildReport> r = builder.Build(def);
@@ -656,7 +680,6 @@ TEST_F(OnlineTunerTest, OnlineTickInstallsThroughBuilder) {
     EXPECT_TRUE(idx->created_by_automation);
     EXPECT_NE(db.btree(idx->id), nullptr);
   }
-  EXPECT_EQ(db.dml_hook_count(), 0u);
 }
 
 // Satellite: a hard-failed online build degrades the interval — config
@@ -679,7 +702,6 @@ TEST_F(OnlineTunerTest, AbortedBuildDegradesIntervalConfigUntouched) {
   EXPECT_TRUE(r.ValueOrDie().degraded);
   EXPECT_FALSE(r.ValueOrDie().error.ok());
   EXPECT_EQ(IndexSignature(db), sig_before);
-  EXPECT_EQ(db.dml_hook_count(), 0u);
 
   // The fault was transient at the deployment level: the next interval
   // succeeds and installs online.
@@ -708,7 +730,6 @@ TEST_F(OnlineTunerTest, TunerInstallsUnderLiveTraffic) {
   core::ContinuousTunerOptions options;
   options.online_apply = true;
   options.aim.validate_on_clone = false;
-  options.aim.online.snapshot_chunk_rows = 32;
   options.aim.online.max_catchup_rounds = 512;
   core::ContinuousTuner tuner(&tpcc.db(), optimizer::CostModel(), options);
   Result<core::IntervalReport> r = tuner.Tick(w.ValueOrDie(), nullptr);
@@ -719,7 +740,6 @@ TEST_F(OnlineTunerTest, TunerInstallsUnderLiveTraffic) {
   EXPECT_FALSE(report.degraded)
       << report.error.ToString();
   EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(tpcc.db().dml_hook_count(), 0u);
   EXPECT_EQ(report.aim.stats.online_builds,
             report.aim.recommended.size());
   for (const core::CandidateIndex& c : report.aim.recommended) {

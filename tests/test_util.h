@@ -13,6 +13,7 @@
 #include "sql/parser.h"
 #include "storage/data_generator.h"
 #include "storage/database.h"
+#include "storage/online_index_builder.h"
 #include "workload/demo.h"
 #include "workload/workload.h"
 
@@ -32,6 +33,18 @@ inline storage::Database MakeOrdersDb(uint64_t users = 1000,
                                       uint64_t orders = 5000,
                                       uint64_t seed = 9) {
   return workload::MakeOrdersDemoDb(users, orders, seed);
+}
+
+/// A starting point for an online build of `def`: a copy of its table's
+/// heap and the tree a blocking build makes on that copy.
+inline storage::OnlineBuildSeed SeedOf(const storage::Database& db,
+                                       const catalog::IndexDef& def) {
+  storage::OnlineBuildSeed seed{db.heap(def.table), {}};
+  EXPECT_TRUE(storage::BuildIndexTree(seed.heap, def,
+                                      "storage.build_index_entry",
+                                      &seed.tree)
+                  .ok());
+  return seed;
 }
 
 /// Parses or records a test failure (for test setup).
