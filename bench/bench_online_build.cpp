@@ -2,7 +2,7 @@
 // Measures what the robustness work actually buys: the write stall a
 // DDL imposes on concurrent OLTP clients. The blocking path holds the
 // exclusive latch for the whole heap scan; the online path's only
-// exclusive window is the bounded-tail swap. Also sweeps the online
+// exclusive window is the bounded swap. Also sweeps the online
 // tuner's per-tick snapshot: a copy of the live TPC-C database under the
 // exclusive latch at about 25k, 100k and 388k rows, and the writer's
 // first transaction after it, which copies the chunks and leaves it
@@ -190,8 +190,10 @@ int main() {
     return 1;
   }
 
-  // Online: chunked shared-latch scan + delta catch-up; the swap is the
-  // only exclusive window and applies at most max_swap_tail entries.
+  // Online (DESIGN.md §9): an O(1) heap copy under a shared latch, the
+  // side build from the copy with no latch, chunk-diff catch-up rounds,
+  // then the swap, the only exclusive window; its stall is the hold of
+  // the swap that adopts the tree.
   Result<RunResult> online =
       RunUnderTraffic(kClients, [](workload::TpccDatabase* tpcc,
                                    RunResult* out) -> Result<uint64_t> {

@@ -128,7 +128,7 @@ class Database {
   /// Single-threaded embedders never touch this. Under concurrent OLTP
   /// traffic every mutation (DML, DDL, AnalyzeTable) runs under a
   /// unique_lock of latch() and every read (executor scans, copies of the
-  /// database or of one heap) under a shared_lock. Copies are O(chunks)
+  /// database or of one heap) under a shared_lock. Copies are O(1) per heap
   /// (DESIGN.md §17), so the online index builder holds the shared latch
   /// only to copy a heap and the exclusive latch only for its bounded swap
   /// (DESIGN.md §9). The latch is identity, not state: the copy

@@ -1,10 +1,10 @@
 #include "storage/online_index_builder.h"
 
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/fault_injection.h"
 #include "obs/metrics.h"
@@ -14,39 +14,30 @@ namespace aim::storage {
 
 namespace {
 
-/// One row whose index entry differs between two heap copies: its key in
-/// the older copy and its key in the newer one (nullopt where the row is
-/// not live).
-struct RowChange {
-  RowId rid = 0;
-  std::optional<std::string> old_key;
-  std::optional<std::string> new_key;
-};
-
-/// True when two stored rows hold the same value in every key column, so
-/// their encoded keys are equal; the catch-up's fast path past unchanged
-/// rows.
-bool SameKey(const catalog::IndexDef& def, SlotRef a, SlotRef b) {
-  for (catalog::ColumnId c : def.columns) {
-    const ValueView x = a.value(c);
-    const ValueView y = b.value(c);
-    if (x.kind != y.kind || (x.kind == sql::Value::Kind::kString
-                                 ? x.text != y.text
-                                 : x.bits != y.bits)) {
-      return false;
-    }
+/// Chunks of `now` that are not the very chunk object `base` holds there,
+/// past either copy's end included: a pointer compare per chunk.
+uint64_t ChangedChunks(const HeapTable& base, const HeapTable& now) {
+  constexpr RowId kLastSlot = HeapTable::kChunkRows - 1;
+  uint64_t n = 0;
+  for (RowId rid = now.NextChangedSlot(base, 0); rid != HeapTable::kNoSlot;
+       rid = now.NextChangedSlot(base, (rid | kLastSlot) + 1)) {
+    ++n;
   }
-  return true;
+  return n;
 }
 
-/// Re-derives every row from `*cursor` on that may differ between `base`
-/// and `now`, and calls `on_change` for each whose entry does; stops when
-/// `on_change` returns false. Each re-derived row crosses
-/// `online.delta.apply` first, so a failure leaves `*cursor` at a row not
-/// yet handled and a retry resumes there.
-template <typename OnChange>
-Status Diff(const catalog::IndexDef& def, const HeapTable& base,
-            const HeapTable& now, RowId* cursor, OnChange&& on_change) {
+/// Catches `side` up from `base` to `now`: re-derives every row from
+/// `*cursor` on that may differ (HeapTable::NextChangedSlot) and erases
+/// and/or inserts the entry of each whose liveness or encoded key differs,
+/// counting it in `*applied`. Stops with `*cursor` at the first such row
+/// once `*applied` reaches `limit`, else at kNoSlot. Each re-derived row
+/// crosses `online.delta.apply` first, so a failure also leaves `*cursor`
+/// at a row not yet applied and a retry resumes there.
+Status CatchUp(const catalog::IndexDef& def, const HeapTable& base,
+               const HeapTable& now, uint64_t limit, RowId* cursor,
+               BTreeIndex* side, uint64_t* applied) {
+  std::string old_key;
+  std::string new_key;
   for (*cursor = now.NextChangedSlot(base, *cursor);
        *cursor != HeapTable::kNoSlot;
        *cursor = now.NextChangedSlot(base, *cursor + 1)) {
@@ -54,20 +45,17 @@ Status Diff(const catalog::IndexDef& def, const HeapTable& base,
     const RowId rid = *cursor;
     const bool was_live = base.IsLive(rid);
     const bool is_live = now.IsLive(rid);
-    if (was_live && is_live && SameKey(def, base.slot(rid), now.slot(rid))) {
-      continue;
-    }
-    RowChange c{rid, std::nullopt, std::nullopt};
-    if (was_live) AppendIndexKey(def, base.slot(rid), &c.old_key.emplace());
-    if (is_live) AppendIndexKey(def, now.slot(rid), &c.new_key.emplace());
-    if (c.old_key != c.new_key && !on_change(std::move(c))) break;
+    old_key.clear();
+    new_key.clear();
+    if (was_live) AppendIndexKey(def, base.slot(rid), &old_key);
+    if (is_live) AppendIndexKey(def, now.slot(rid), &new_key);
+    if (was_live == is_live && old_key == new_key) continue;
+    if (*applied == limit) break;
+    if (was_live) side->Erase(old_key, rid);
+    if (is_live) side->Insert(new_key, rid);
+    ++*applied;
   }
   return Status::OK();
-}
-
-void Apply(const RowChange& change, BTreeIndex* side) {
-  if (change.old_key) side->Erase(*change.old_key, change.rid);
-  if (change.new_key) side->Insert(*change.new_key, change.rid);
 }
 
 }  // namespace
@@ -139,36 +127,42 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
     snap_span.SetAttr("seeded", seed.has_value());
   }
 
-  // Steps 3+4 — catch-up rounds until one applies at most max_swap_tail
-  // changes, then the swap, which runs one more round on a larger tail.
+  // Steps 3+4 — catch-up rounds until one finds at most `swap_chunks`
+  // changed chunks, then the swap. The swap re-derives at most
+  // `max_swap_tail` slots rounded up to whole chunks and applies at most
+  // `max_swap_tail` rows: past the chunk bound it defers after pointer
+  // compares alone, past the row bound the next round resumes its diff.
+  const uint64_t swap_chunks =
+      (options_.max_swap_tail + HeapTable::kChunkRows - 1) /
+      HeapTable::kChunkRows;
   RetryPolicy retry(options_.retry);
   int rounds = 0;
+  RowId cursor = 0;
   HeapTable now = copy_heap();
   while (true) {
     {
       obs::Span catchup_span(obs::Tracer::Get(), "online.catchup");
+      const uint64_t changed = ChangedChunks(base, now);
       uint64_t applied = 0;
-      if (now.NextChangedSlot(base, 0) != HeapTable::kNoSlot) {
+      if (changed > 0) {
         if (++rounds > options_.max_catchup_rounds) {
           return abort(Status::Unavailable(
               "online build: catch-up did not converge within " +
               std::to_string(options_.max_catchup_rounds) + " rounds"));
         }
-        RowId cursor = 0;
         const Status st = retry.Run([&] {
-          return Diff(def, base, now, &cursor, [&](RowChange change) {
-            Apply(change, &side);
-            ++applied;
-            return true;
-          });
+          return CatchUp(def, base, now, std::numeric_limits<uint64_t>::max(),
+                         &cursor, &side, &applied);
         });
         if (!st.ok()) return abort(st);
         base = std::move(now);
+        cursor = 0;
         report.delta_applied += applied;
       }
+      catchup_span.SetAttr("chunks", changed);
       catchup_span.SetAttr("applied", applied);
       catchup_span.SetAttr("rounds", rounds);
-      if (applied > options_.max_swap_tail) {
+      if (changed > swap_chunks) {
         now = copy_heap();
         continue;
       }
@@ -178,27 +172,28 @@ Result<OnlineBuildReport> OnlineIndexBuilder::Build(
     obs::Span swap_span(obs::Tracer::Get(), "online.swap");
     const auto stall_start = std::chrono::steady_clock::now();
     const HeapTable& live = db_->heap(def.table);
-    std::vector<RowChange> tail;
-    RowId cursor = 0;
-    Status st = Diff(def, base, live, &cursor, [&](RowChange change) {
-      tail.push_back(std::move(change));
-      return tail.size() <= options_.max_swap_tail;
-    });
-    if (st.ok() && tail.size() > options_.max_swap_tail) {
-      swap_span.SetAttr("deferred_tail", tail.size());
-      report.stall_seconds += since(stall_start);
+    const uint64_t changed = ChangedChunks(base, live);
+    uint64_t tail = 0;
+    Status st = Status::OK();
+    if (changed <= swap_chunks) {
+      st = CatchUp(def, base, live, options_.max_swap_tail, &cursor, &side,
+                   &tail);
+    }
+    if (st.ok() && (changed > swap_chunks || cursor != HeapTable::kNoSlot)) {
+      swap_span.SetAttr("deferred_chunks", changed);
+      swap_span.SetAttr("deferred_seconds", since(stall_start));
+      report.delta_applied += tail;
       now = live;
       continue;
     }
     if (st.ok()) st = AIM_FAULT_POINT_STATUS("online.swap");
     if (!st.ok()) return abort(st);
-    for (const RowChange& change : tail) Apply(change, &side);
     Result<catalog::IndexId> id = db_->AdoptIndex(def, std::move(side));
     if (!id.ok()) return abort(id.status());
     report.id = id.ValueOrDie();
-    report.swap_tail_applied = tail.size();
-    report.stall_seconds += since(stall_start);
-    swap_span.SetAttr("tail", tail.size());
+    report.swap_tail_applied = tail;
+    report.stall_seconds = since(stall_start);
+    swap_span.SetAttr("tail", tail);
     swap_span.SetAttr("stall_seconds", report.stall_seconds);
     if (txn != nullptr) txn->RecordCreated(report.id);
     break;

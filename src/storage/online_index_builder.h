@@ -12,8 +12,10 @@ namespace aim::storage {
 
 /// Knobs for one online build.
 struct OnlineBuildOptions {
-  /// The stall bound: the swap applies at most this many changed rows
-  /// under the exclusive latch; a larger tail runs another catch-up round.
+  /// The stall bound: under the exclusive latch a swap attempt re-derives
+  /// at most this many slots, rounded up to whole heap chunks, and applies
+  /// at most this many changed rows. More changed chunks or rows defer
+  /// the swap to another catch-up round.
   uint64_t max_swap_tail = 64;
   /// Catch-up rounds before the build gives up with kUnavailable. Bounds
   /// livelock against writers that outpace the builder.
@@ -36,16 +38,16 @@ struct OnlineBuildReport {
   catalog::IndexId id = catalog::kInvalidIndex;
   /// Live rows of the heap copy the side tree started from.
   uint64_t snapshot_rows = 0;
-  /// Rows whose entry changed, applied in catch-up rounds (no latch held).
+  /// Rows whose entry changed, applied before the adopting swap: in
+  /// catch-up rounds (no latch held) or by swap attempts that deferred.
   uint64_t delta_applied = 0;
-  /// Rows whose entry changed, applied under the exclusive swap latch —
+  /// Rows whose entry changed, applied by the swap that adopted the tree —
   /// always <= OnlineBuildOptions::max_swap_tail.
   uint64_t swap_tail_applied = 0;
   /// Catch-up rounds run (0 when no DML raced the side build).
   int catchup_rounds = 0;
-  /// Wall time the exclusive swap latch was held, summed over swap
-  /// attempts (one that defers holds it for its diff). Also observed into
-  /// the `online.swap.stall_seconds` histogram.
+  /// Wall time the swap that adopted the tree held the exclusive latch.
+  /// Also observed into the `online.swap.stall_seconds` histogram.
   double stall_seconds = 0.0;
   /// Retry bookkeeping from the catch-up policy (virtual clock).
   int retry_attempts = 0;
@@ -57,13 +59,15 @@ struct OnlineBuildReport {
 
 /// \brief Online index creation under live OLTP traffic (DESIGN.md §9).
 ///
-/// Copies the heap under a shared latch (O(chunks)) and bulk-builds the
+/// Copies the heap under a shared latch (O(1)) and bulk-builds the
 /// side tree from the copy with no latch held, unless given a seed. Each
 /// catch-up round copies the heap again and, with no latch held,
 /// re-derives every row outside the chunks the two copies share
-/// (HeapTable::NextChangedSlot). The swap, the only exclusive hold, diffs
-/// the last copy against the live heap and adopts the tree when at most
-/// `max_swap_tail` rows changed; otherwise it runs one more round.
+/// (HeapTable::NextChangedSlot). The swap, the only exclusive hold, counts
+/// the chunks the live heap no longer shares with the last copy. Within
+/// the `max_swap_tail` bound it diffs them and adopts the tree; past the
+/// chunk bound it defers after pointer compares alone, and past the row
+/// bound the next round resumes its diff.
 ///
 /// Fault points: `online.snapshot.scan` per side-build entry,
 /// `online.delta.apply` per re-derived row (a transient failure resumes
